@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import struct
 import sys
 import time
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .core import (
     truncate,
 )
 from .models import analytic, pde
-from .util import histogram_csv, make_rng, sha256_file, write_csv
+from .util import histogram_csv, make_rng, read_container, sha256_file, write_container, write_csv
 
 __all__ = ["main", "cmd_detect", "cmd_complete", "cmd_sample", "cmd_surrogate", "cmd_pipeline"]
 
@@ -62,7 +61,6 @@ class ModelHandle:
     domain: Hyperrectangle
     value: Callable[[np.ndarray], float]
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    cheap: bool  # affordable to evaluate tens of thousands of times
 
 
 def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelHandle:
@@ -82,7 +80,7 @@ def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelH
             g, q = pde.gradient_q(model, s, return_value=True)
             return q, g
 
-        return ModelHandle("pde", model.parameter_box, value, value_and_grad, cheap=True)
+        return ModelHandle("pde", model.parameter_box, value, value_and_grad)
 
     if cfg.model == "cos2":
         tf = analytic.cosine_pair(1.0, 1.0)
@@ -105,7 +103,7 @@ def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelH
         def value_and_grad(s, tf=tf):
             return tf(s), np.asarray(tf.grad(s), dtype=float)
 
-    return ModelHandle(cfg.model, tf.domain, tf, value_and_grad, cheap=True)
+    return ModelHandle(cfg.model, tf.domain, tf, value_and_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -113,61 +111,31 @@ def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelH
 
 
 def write_subspace(path, subspace: ActiveSubspace, seed: int) -> None:
-    header = {
-        "d": subspace.dimension,
-        "a": subspace.retained,
-        "seed": seed,
-        "version": 1,
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_SUBSPACE_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(np.ascontiguousarray(subspace.eigenvalues).tobytes())
-        f.write(np.ascontiguousarray(subspace.basis_a).tobytes())
-        f.write(np.ascontiguousarray(subspace.basis_b).tobytes())
+    header = {"d": subspace.dimension, "a": subspace.retained, "seed": seed, "version": 1}
+    arrays = [subspace.eigenvalues, subspace.basis_a, subspace.basis_b]
+    write_container(path, _SUBSPACE_MAGIC, header, arrays)
 
 
 def read_subspace(path) -> tuple[ActiveSubspace, int]:
-    raw = Path(path).read_bytes()
-    if raw[: len(_SUBSPACE_MAGIC)] != _SUBSPACE_MAGIC:
-        raise ValueError(f"not a subspace file: bad magic in {path}")
-    off = len(_SUBSPACE_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    header = json.loads(raw[off : off + hlen].decode())
-    off += hlen
-    d, a = header["d"], header["a"]
-    lam = np.frombuffer(raw, dtype=float, count=d, offset=off).copy()
-    off += d * 8
-    Va = np.frombuffer(raw, dtype=float, count=d * a, offset=off).reshape(d, a).copy()
-    off += d * a * 8
-    Vb = np.frombuffer(raw, dtype=float, count=d * (d - a), offset=off).reshape(d, d - a).copy()
+    header, (lam, Va, Vb) = read_container(
+        path,
+        _SUBSPACE_MAGIC,
+        "subspace",
+        lambda h: [(h["d"],), (h["d"], h["a"]), (h["d"], h["d"] - h["a"])],
+    )
     return ActiveSubspace(Va, Vb, lam), header["seed"]
 
 
 def write_jacobian(path, J: np.ndarray) -> None:
     d, k = J.shape
-    blob = json.dumps({"d": d, "k": k, "version": 1}, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_JACOBIAN_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(np.ascontiguousarray(J).tobytes())
+    write_container(path, _JACOBIAN_MAGIC, {"d": d, "k": k, "version": 1}, [J])
 
 
 def read_jacobian(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[: len(_JACOBIAN_MAGIC)] != _JACOBIAN_MAGIC:
-        raise ValueError(f"not a gradient-matrix file: bad magic in {path}")
-    off = len(_JACOBIAN_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    header = json.loads(raw[off : off + hlen].decode())
-    off += hlen
-    d, k = header["d"], header["k"]
-    return np.frombuffer(raw, dtype=float, count=d * k, offset=off).reshape(d, k).copy()
+    _, (J,) = read_container(
+        path, _JACOBIAN_MAGIC, "gradient-matrix", lambda h: [(h["d"], h["k"])]
+    )
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +378,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
         do_full = False
     else:
         cap = _FULL_EVAL_CAP_SOLVER if model.name == "pde" else _FULL_EVAL_CAP_ANALYTIC
-        do_full = model.cheap and cfg.eval_points <= cap
+        do_full = cfg.eval_points <= cap
     info = {
         "fit": {
             "points": reduced.shape[0],

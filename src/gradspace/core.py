@@ -132,19 +132,6 @@ class JacobianSamples:
         cols = [np.asarray(grad(p), dtype=float) for p in pts]
         return cls(pts, np.column_stack(cols))
 
-    @classmethod
-    def from_finite_difference(
-        cls,
-        f: Callable[[np.ndarray], float],
-        domain: Hyperrectangle,
-        k: int,
-        rng: np.random.Generator,
-        step: float | None = None,
-    ) -> "JacobianSamples":
-        pts = domain.sample(rng, k)
-        cols = [finite_difference_jacobian(f, domain, p, step) for p in pts]
-        return cls(pts, np.column_stack(cols))
-
 
 def _validate_in_domain(samples: JacobianSamples, domain: Hyperrectangle) -> None:
     if samples.dimension != domain.dimension:

@@ -1,10 +1,12 @@
-"""Dense linear programming over box bounds with optional equality rows.
+"""Linear programming over box bounds with optional equality rows.
 
-Solved with a bounded-variable primal simplex: box bounds are handled
-natively (nonbasic variables rest at a bound), equalities get artificial
-variables in a phase-1 feasibility pass, and Bland's rule breaks ties so the
-pivot sequence is deterministic and cycle-free. Dense linear algebra is fine
-at the intended scale (a handful of equality rows, a few hundred variables).
+Without equality rows the minimizer is closed-form (each coordinate at a
+bound). With them the program goes to scipy's HiGHS, the dual revised
+simplex of Huangfu & Hall, with its primal feasibility tolerance pinned to
+FEAS_TOL so points just outside the feasible set are reported infeasible
+rather than returned with a residual too large to accept. The returned
+point is a vertex of the feasible set, clipped onto the box and checked
+against the equality rows before it is handed back.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from .core import Hyperrectangle
 
 __all__ = ["LinearProgram", "LpSolution", "LpStatus", "solve", "minimize_linear_over_box"]
 
-PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
-_MAX_ITER = 5000
 
 
 class LpStatus(Enum):
@@ -103,118 +103,26 @@ def solve(lp: LinearProgram) -> LpSolution:
         value, point = minimize_linear_over_box(lp.objective, box)
         return LpSolution(LpStatus.OPTIMAL, point, value)
 
-    status, x = _bounded_simplex(lp.objective, A, r, box.lower, box.upper)
-    if status is not LpStatus.OPTIMAL:
-        return LpSolution(status)
+    # deferred: scipy.optimize costs ~8.5 MiB and 0.07-0.17 s to import
+    from scipy.optimize import linprog
 
-    point = np.clip(x, box.lower, box.upper)
+    bounds = np.column_stack([box.lower, box.upper])
+    tol = {"primal_feasibility_tolerance": FEAS_TOL}
+    res = linprog(lp.objective, A_eq=A, b_eq=r, bounds=bounds, method="highs", options=tol)
+    if res.status not in (0, 2, 3):
+        # the dual simplex can end with model status Unknown (4) when eq_rhs
+        # lies within a few FEAS_TOL of the feasible set's boundary; one
+        # interior-point solve, with crossover to a vertex, settles those
+        res = linprog(lp.objective, A_eq=A, b_eq=r, bounds=bounds, method="highs-ipm", options=tol)
+    if res.status == 2:
+        return LpSolution(LpStatus.INFEASIBLE)
+    if res.status == 3:
+        return LpSolution(LpStatus.UNBOUNDED)
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS failed on the LP (status {res.status}: {res.message})")
+
+    point = np.clip(res.x, box.lower, box.upper)
     resid = np.max(np.abs(A @ point - r)) if A.size else 0.0
     if resid > 1e-8 * (1.0 + np.linalg.norm(r)):
-        raise RuntimeError(f"simplex returned an inaccurate point (residual {resid:.3e})")
+        raise RuntimeError(f"HiGHS returned an inaccurate point (residual {resid:.3e})")
     return LpSolution(LpStatus.OPTIMAL, point, float(lp.objective @ point))
-
-
-def _bounded_simplex(c, A, b, lower, upper):
-    """Two-phase bounded-variable simplex. Returns (status, structural point)."""
-    m, n = A.shape
-    # phase 1: structurals at their lower bounds, one artificial per row
-    x_init = lower.copy()
-    resid = b - A @ x_init
-    art_sign = np.where(resid >= 0.0, 1.0, -1.0)
-    A_aug = np.hstack([A, np.diag(art_sign)])
-    lo = np.concatenate([lower, np.zeros(m)])
-    hi = np.concatenate([upper, np.full(m, np.inf)])
-    basis = np.arange(n, n + m)
-    at_upper = np.zeros(n + m, dtype=bool)
-    allowed = np.ones(n + m, dtype=bool)
-
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    status = _simplex_loop(c1, A_aug, b, lo, hi, basis, at_upper, allowed)
-    if status is not LpStatus.OPTIMAL:
-        raise RuntimeError("phase-1 simplex failed to terminate at an optimum")
-    x = _solution_values(A_aug, b, lo, hi, basis, at_upper)
-    if float(np.sum(x[n:])) > FEAS_TOL * (1.0 + float(np.sum(np.abs(b)))):
-        return LpStatus.INFEASIBLE, None
-
-    # phase 2: pin artificials at zero and optimize the true objective
-    hi[n:] = 0.0
-    allowed[n:] = False
-    c2 = np.concatenate([c, np.zeros(m)])
-    status = _simplex_loop(c2, A_aug, b, lo, hi, basis, at_upper, allowed)
-    if status is not LpStatus.OPTIMAL:
-        return status, None
-    x = _solution_values(A_aug, b, lo, hi, basis, at_upper)
-    return LpStatus.OPTIMAL, x[:n]
-
-
-def _solution_values(A, b, lo, hi, basis, at_upper):
-    n = A.shape[1]
-    x = np.where(at_upper, np.where(np.isfinite(hi), hi, 0.0), lo)
-    nb = np.ones(n, dtype=bool)
-    nb[basis] = False
-    B = A[:, basis]
-    x[basis] = np.linalg.solve(B, b - A[:, nb] @ x[nb])
-    return x
-
-
-def _simplex_loop(c, A, b, lo, hi, basis, at_upper, allowed):
-    m, n = A.shape
-    fixed = (hi - lo) <= 0.0  # pinned variables never enter
-    for _ in range(_MAX_ITER):
-        nb = np.ones(n, dtype=bool)
-        nb[basis] = False
-        xN = np.where(at_upper, np.where(np.isfinite(hi), hi, 0.0), lo)
-        B = A[:, basis]
-        xB = np.linalg.solve(B, b - A[:, nb] @ xN[nb])
-        y = np.linalg.solve(B.T, c[basis])
-        red = c - A.T @ y
-
-        enter = -1
-        from_upper = False
-        for j in range(n):  # Bland: smallest eligible index
-            if not nb[j] or not allowed[j] or fixed[j]:
-                continue
-            if not at_upper[j] and red[j] < -PIVOT_TOL:
-                enter, from_upper = j, False
-                break
-            if at_upper[j] and red[j] > PIVOT_TOL:
-                enter, from_upper = j, True
-                break
-        if enter < 0:
-            return LpStatus.OPTIMAL
-
-        w = np.linalg.solve(B, A[:, enter])
-        move = w if from_upper else -w  # change in basic values per unit step
-
-        t_best = hi[enter] - lo[enter]  # cap: entering variable flips to its other bound
-        leave_pos = -1
-        leave_to_upper = False
-        for i in range(m):
-            di = move[i]
-            if di > PIVOT_TOL:
-                ti = (hi[basis[i]] - xB[i]) / di if np.isfinite(hi[basis[i]]) else np.inf
-                to_upper = True
-            elif di < -PIVOT_TOL:
-                ti = (xB[i] - lo[basis[i]]) / (-di)
-                to_upper = False
-            else:
-                continue
-            if not np.isfinite(ti):
-                continue  # an unbounded ratio never blocks
-            ti = max(ti, 0.0)
-            better = ti < t_best - 1e-12
-            tie = abs(ti - t_best) <= 1e-12 and leave_pos >= 0 and basis[i] < basis[leave_pos]
-            if better or tie:
-                t_best = ti
-                leave_pos = i
-                leave_to_upper = to_upper
-        if not np.isfinite(t_best):
-            return LpStatus.UNBOUNDED
-        if leave_pos < 0:
-            at_upper[enter] = not at_upper[enter]
-        else:
-            leaving = basis[leave_pos]
-            basis[leave_pos] = enter
-            at_upper[leaving] = leave_to_upper
-            at_upper[enter] = False  # status is meaningless while basic; reset
-    raise RuntimeError("simplex iteration limit reached (possible cycling)")

@@ -104,18 +104,6 @@ class PdeModel:
     def parameter_dimension(self) -> int:
         return self.kl.truncation
 
-    @property
-    def dirichlet_mask(self) -> np.ndarray:
-        """Cells touching the zero-value edges (left, top, bottom)."""
-        mask = np.zeros(self.cell_count, dtype=bool)
-        mask[self.dirichlet_cells] = True
-        return mask
-
-    @property
-    def neumann_mask(self) -> np.ndarray:
-        """Cells along the zero-flux right edge; these also carry the output weights."""
-        return self.qoi_weights > 0
-
 
 def _grid(n: int):
     h = 1.0 / n

@@ -8,8 +8,6 @@ weights orthogonal to the polynomial block.
 
 from __future__ import annotations
 
-import json
-import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +15,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
+
+from .util import read_container, write_container
 
 __all__ = ["RbfConfig", "RbfSurrogate", "fit", "evaluate", "predict", "save", "load"]
 
@@ -183,35 +183,20 @@ def save(model: RbfSurrogate, path: str | Path, extra_metadata: dict | None = No
         "regularization": model.regularization,
         "metadata": {**model.metadata, **(extra_metadata or {})},
     }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(np.ascontiguousarray(model.centers).tobytes())
-        f.write(np.ascontiguousarray(model.weights).tobytes())
-        f.write(np.ascontiguousarray(model.poly_coeffs).tobytes())
+    write_container(path, _MAGIC, header, [model.centers, model.weights, model.poly_coeffs])
 
 
 def load(path: str | Path) -> RbfSurrogate:
-    raw = Path(path).read_bytes()
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"not a surrogate model file: bad magic in {path}")
-    off = len(_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    header = json.loads(raw[off : off + hlen].decode())
-    off += hlen
-    n, a = header["n"], header["a"]
-    centers = np.frombuffer(raw, dtype=float, count=n * a, offset=off).reshape(n, a)
-    off += n * a * 8
-    weights = np.frombuffer(raw, dtype=float, count=n, offset=off)
-    off += n * 8
-    poly = np.frombuffer(raw, dtype=float, count=a + 1, offset=off)
+    header, (centers, weights, poly) = read_container(
+        path,
+        _MAGIC,
+        "surrogate model",
+        lambda h: [(h["n"], h["a"]), (h["n"],), (h["a"] + 1,)],
+    )
     return RbfSurrogate(
-        centers=centers.copy(),
-        weights=weights.copy(),
-        poly_coeffs=poly.copy(),
+        centers=centers,
+        weights=weights,
+        poly_coeffs=poly,
         shape=header["shape"],
         regularization=header["regularization"],
         metadata=header.get("metadata", {}),

@@ -1,9 +1,12 @@
-"""Shared plumbing: reproducible RNG streams, CSV emission, checksums."""
+"""Shared plumbing: reproducible RNG streams, CSV emission, checksums, binary containers."""
 
 from __future__ import annotations
 
 import hashlib
+import json
+import struct
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -58,3 +61,47 @@ def histogram_csv(path: str | Path, samples: np.ndarray, bins: int = 50) -> None
     counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
     rows = [(edges[i], edges[i + 1], int(counts[i])) for i in range(bins)]
     write_csv(path, ["bin_left", "bin_right", "count"], rows)
+
+
+def write_container(path: str | Path, magic: bytes, header: dict, arrays) -> None:
+    """Write magic, a `<Q` header length, sorted-key JSON, then raw float64 arrays.
+
+    The arrays carry no shapes of their own: the header must hold whatever
+    the reader needs to recover them.
+    """
+    blob = json.dumps(header, sort_keys=True).encode()
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack("<Q", len(blob)))
+        f.write(blob)
+        for arr in arrays:
+            f.write(np.ascontiguousarray(arr, dtype=float).tobytes())
+
+
+def read_container(
+    path: str | Path, magic: bytes, kind: str, shapes: Callable[[dict], list[tuple]]
+) -> tuple[dict, list[np.ndarray]]:
+    """Read a file written by `write_container`; shapes(header) lists the array shapes.
+
+    Raises ValueError naming the path on a wrong magic or a truncated file.
+    """
+    raw = Path(path).read_bytes()
+    if raw[: len(magic)] != magic:
+        raise ValueError(f"not a {kind} file: bad magic in {path}")
+    off = len(magic) + 8
+    if len(raw) < off:
+        raise ValueError(f"truncated {kind} file {path}: no header length")
+    (hlen,) = struct.unpack_from("<Q", raw, len(magic))
+    if len(raw) < off + hlen:
+        raise ValueError(f"truncated {kind} file {path}: header cut short")
+    header = json.loads(raw[off : off + hlen].decode())
+    off += hlen
+    arrays = []
+    for shape in shapes(header):
+        count = int(np.prod(shape))
+        if len(raw) < off + 8 * count:
+            raise ValueError(f"truncated {kind} file {path}: array data cut short")
+        arr = np.frombuffer(raw, dtype=float, count=count, offset=off)
+        arrays.append(arr.reshape(shape).copy())
+        off += 8 * count
+    return header, arrays

@@ -1,9 +1,15 @@
-"""Tests for the box-constrained simplex solver."""
+"""Tests for the box-constrained LP solver (closed form without equalities, HiGHS with them).
+
+Brute-force vertex enumeration is the oracle for small random programs; the
+near-boundary probes check the tolerance contract where HiGHS is most
+likely to misjudge feasibility.
+"""
 
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from gradspace.core import Hyperrectangle
 from gradspace.lp import (
@@ -203,3 +209,65 @@ class TestSolve:
             LinearProgram(np.zeros(2), box, np.zeros((1, 2)), None)
         with pytest.raises(ValueError):
             LinearProgram(np.zeros(2), box, np.zeros((3, 2)), np.zeros(3))
+
+
+class TestNearBoundary:
+    """Reduced points just inside and just outside the zonotope V_a^T [-2, 2]^50."""
+
+    DELTAS = (-1e-8, -1e-10, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7)
+
+    def test_probes_around_support_points(self):
+        rng = make_rng(35)
+        d, a = 50, 5
+        box = Hyperrectangle.cube(d, 2.0)
+        Va = np.linalg.qr(rng.standard_normal((d, a)))[0]
+        for _ in range(20):
+            u = rng.standard_normal(a)
+            # a vertex of the zonotope maximizing u^T t, pushed out along u by delta
+            support = Va.T @ (2.0 * np.sign(Va @ u))
+            for delta in self.DELTAS:
+                t = support + delta * u / np.linalg.norm(u)
+                sol = solve(LinearProgram(np.zeros(d), box, Va.T, t))  # never raises
+                if sol.status is LpStatus.OPTIMAL:
+                    assert box.contains(sol.point, tol=0.0)
+                    resid = np.max(np.abs(Va.T @ sol.point - t))
+                    assert resid <= 1e-8 * (1.0 + np.linalg.norm(t))
+                if delta == -1e-8:
+                    assert sol.status is LpStatus.OPTIMAL
+                if delta == 1e-7:
+                    assert sol.status is LpStatus.INFEASIBLE
+
+
+class TestUnknownStatusResolve:
+    """A dual-simplex result with status 4 gets one interior-point re-solve."""
+
+    @staticmethod
+    def _lp():
+        box = Hyperrectangle.cube(3, 1.0)
+        return LinearProgram(np.zeros(3), box, np.array([[1.0, 1.0, 0.0]]), np.array([0.5]))
+
+    def _patch(self, monkeypatch, failing_methods):
+        real = scipy.optimize.linprog
+        methods = []
+
+        def linprog(*args, method, **kwargs):
+            methods.append(method)
+            if method in failing_methods:
+                return scipy.optimize.OptimizeResult(status=4, x=None, message="unknown")
+            return real(*args, method=method, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+        return methods
+
+    def test_resolves_with_interior_point(self, monkeypatch):
+        methods = self._patch(monkeypatch, {"highs"})
+        sol = solve(self._lp())
+        assert methods == ["highs", "highs-ipm"]
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.point[0] + sol.point[1] == pytest.approx(0.5, abs=1e-12)
+
+    def test_raises_when_both_fail(self, monkeypatch):
+        methods = self._patch(monkeypatch, {"highs", "highs-ipm"})
+        with pytest.raises(RuntimeError, match="status 4"):
+            solve(self._lp())
+        assert methods == ["highs", "highs-ipm"]
