@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
@@ -21,6 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 
 from . import completion, geometry, surrogate
 from .config import ConfigError, ExperimentConfig, load_config
@@ -441,10 +444,34 @@ def _run_stage(name, cfg, out, seed, rep):
     return files, info, time.perf_counter() - start
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _numeric_environment() -> dict:
+    """Library builds and thread settings that decide the output bytes at roundoff level.
+
+    numpy and scipy each bundle their own BLAS; scipy's runs the PDE solves.
+    """
+    blas = {}
+    for lib in (np, scipy):
+        build = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas[lib.__name__] = {"name": build.get("name"), "version": build.get("version")}
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas,
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "cpu_affinity": None if affinity is None else sorted(affinity),
+    }
+
+
 def _write_manifest(out: Path, command: str, cfg, seed: int, rep: int, files, info) -> Path:
     manifest = {
         "command": command,
         "config": cfg.as_dict(),
+        "environment": _numeric_environment(),
         "seed": seed,
         "replicate": rep,
         "stages": info,

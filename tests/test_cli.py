@@ -252,6 +252,14 @@ class TestMain:
         for name, digest in manifest["files"].items():
             assert sha256_file(out / name) == digest, name
         assert set(manifest["stages"]) == {"detect", "sample", "surrogate"}
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "thread_env", "cpu_affinity"}
+        assert env["numpy"] == np.__version__
+        for build in ("numpy", "scipy"):
+            assert set(env["blas"][build]) == {"name", "version"}
+        assert set(env["thread_env"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+        }
 
     def test_pipeline_deterministic_csv_bytes(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -1,8 +1,15 @@
 """Tests for the elliptic demonstration model and its adjoint gradient."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradspace.models import pde
 from gradspace.models.pde import (
     _assemble,
     _grid,
@@ -24,6 +31,41 @@ Q_REFERENCE_N17 = 0.07672098438589123
 @pytest.fixture(scope="module")
 def small_model():
     return make_pde_model(n=17, d=10, rho=(1.0, 0.05))
+
+
+def _dense_operator(model, alpha):
+    """Dense oracle assembled from the face arrays, independent of the banded layout.
+
+    The contributions are grouped as in the solver's diagonal (both sides of
+    the interior faces, then the Dirichlet closures), so the two agree
+    exactly rather than to roundoff.
+    """
+    p, q, dcells = model.face_p, model.face_q, model.dirichlet_cells
+    g = 2.0 * alpha[p] * alpha[q] / (alpha[p] + alpha[q])
+    N = model.cell_count
+    K = np.zeros((N, N))
+    for a, b in ((p, q), (q, p)):  # each face enters the rows of both of its cells
+        part = np.zeros((N, N))
+        np.add.at(part, (a, a), g)
+        np.add.at(part, (a, b), -g)
+        K += part
+    part = np.zeros((N, N))
+    np.add.at(part, (dcells, dcells), 2.0 * alpha[dcells])
+    return K + part
+
+
+def _expand_banded(ab):
+    n = ab.shape[0] - 1
+    K = np.diag(ab[0])
+    for k in (1, n):
+        off = np.diag(ab[k, :-k], -k)
+        K += off + off.T
+    return K
+
+
+@lru_cache(maxsize=None)
+def _grid_model(n):
+    return make_pde_model(n=n, d=min(6, n * n), rho=(1.0, 0.05))
 
 
 class TestKlExpansion:
@@ -96,10 +138,8 @@ class TestForwardSolve:
     def test_constant_coefficient_scaling(self, small_model):
         # doubling a constant field halves the solution exactly
         u1 = solve_forward(small_model, np.zeros(10))
-        K2 = _assemble(small_model, 2.0 * np.ones(small_model.cell_count))
-        import scipy.sparse.linalg as spla
-
-        u2 = spla.splu(K2).solve(small_model.rhs)
+        K2 = _dense_operator(small_model, 2.0 * np.ones(small_model.cell_count))
+        u2 = spla.splu(sp.csc_matrix(K2)).solve(small_model.rhs)
         np.testing.assert_allclose(u2, u1 / 2.0, atol=1e-10)
 
     def test_unit_field_reference_value(self, small_model):
@@ -108,8 +148,8 @@ class TestForwardSolve:
         assert qoi(small_model, u) == pytest.approx(Q_REFERENCE_N17, abs=1e-12)
 
     def test_dense_oracle_agreement(self, small_model):
-        K = _assemble(small_model, np.ones(small_model.cell_count))
-        u_dense = np.linalg.solve(K.toarray(), small_model.rhs)
+        K = _dense_operator(small_model, np.ones(small_model.cell_count))
+        u_dense = np.linalg.solve(K, small_model.rhs)
         u_sparse = solve_forward(small_model, np.zeros(10))
         np.testing.assert_allclose(u_sparse, u_dense, atol=1e-12)
 
@@ -124,9 +164,55 @@ class TestForwardSolve:
     def test_system_matrix_is_spd(self, small_model):
         rng = make_rng(121)
         s = rng.uniform(-2, 2, 10)
-        K = _assemble(small_model, coefficient_field(small_model, s)).toarray()
+        K = _dense_operator(small_model, coefficient_field(small_model, s))
         np.testing.assert_allclose(K, K.T, atol=1e-14)
         np.linalg.cholesky(K)  # raises if not positive definite
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), data=st.data())
+    def test_banded_storage_matches_dense_operator(self, n, data):
+        model = _grid_model(n)
+        d = model.parameter_dimension
+        s = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+        alpha = coefficient_field(model, s)
+        ab = _assemble(model, alpha)
+        K = _dense_operator(model, alpha)
+        assert ab.shape == (n + 1, n * n)
+        assert not ab[2:n].any()
+        np.testing.assert_array_equal(_expand_banded(ab), K)
+        u = solve_forward(model, s)
+        np.testing.assert_allclose(u, np.linalg.solve(K, model.rhs), rtol=0, atol=1e-12)
+
+
+class TestSolveFailures:
+    @pytest.fixture(scope="class")
+    def wide_model(self):
+        # exp of the expansion overflows to inf or underflows to 0 at these corners
+        return make_pde_model(n=17, d=10, box_half_width=400.0)
+
+    @pytest.mark.parametrize("corner", [400.0, -400.0])
+    @pytest.mark.parametrize("solve", [solve_forward, solve_adjoint, gradient_q])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_operator_raises(self, wide_model, corner, solve):
+        with pytest.raises(RuntimeError):
+            solve(wide_model, np.full(10, corner))
+
+    def test_nan_residual_raises(self, small_model):
+        ab = _assemble(small_model, np.ones(small_model.cell_count))
+        x = np.full(small_model.cell_count, np.nan)
+        with pytest.raises(RuntimeError, match="residual"):
+            pde._check_residual(ab, x, small_model.rhs)
+
+    def test_gradient_checks_adjoint_residual(self, small_model, monkeypatch):
+        solve = pde._solve
+
+        def corrupt_adjoint(chol, b):
+            x = solve(chol, b)
+            return x * 1.01 if b is small_model.qoi_weights else x
+
+        monkeypatch.setattr(pde, "_solve", corrupt_adjoint)
+        with pytest.raises(RuntimeError, match="residual"):
+            gradient_q(small_model, np.zeros(10))
 
 
 class TestQoi:
@@ -156,7 +242,7 @@ class TestAdjoint:
         rng = make_rng(123)
         s = rng.uniform(-2, 2, 10)
         y = solve_adjoint(small_model, s)
-        K = _assemble(small_model, coefficient_field(small_model, s))
+        K = _dense_operator(small_model, coefficient_field(small_model, s))
         resid = np.linalg.norm(K @ y - small_model.qoi_weights)
         assert resid <= 1e-10
 
