@@ -67,13 +67,13 @@ class ModelHandle:
 
 
 def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelHandle:
+    """Build the configured model; `cache_dir` is accepted for old callers and ignored."""
     if cfg.model == "pde":
         model = pde.make_pde_model(
             n=cfg.pde_n,
             d=cfg.pde_d,
             rho=(cfg.pde_rho1, cfg.pde_rho2),
             box_half_width=cfg.pde_half_width,
-            cache_dir=cache_dir,
         )
 
         def value(s):
@@ -148,7 +148,7 @@ def read_jacobian(path) -> np.ndarray:
 def cmd_detect(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     """Sample k gradients, extract the subspace, and write the convergence study."""
     out.mkdir(parents=True, exist_ok=True)
-    model = resolve_model(cfg, cache_dir=_cache_dir(cfg, out))
+    model = resolve_model(cfg)
     rng = make_rng(seed, _STREAM_DETECT, rep)
     d = model.domain.dimension
 
@@ -305,7 +305,7 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     if not (sub_path.exists() and samples_path.exists()):
         raise ConfigError("sample stage needs subspace.bin and samples.csv from detect")
     sub, _ = read_subspace(sub_path)
-    model = resolve_model(cfg, cache_dir=_cache_dir(cfg, out))
+    model = resolve_model(cfg)
     sites, values = _load_samples_csv(samples_path, sub.dimension)
 
     domain = geometry.build_reduced_domain(sub, model.domain)
@@ -352,7 +352,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     if not (sub_path.exists() and design_path.exists()):
         raise ConfigError("surrogate stage needs subspace.bin and design.csv")
     sub, _ = read_subspace(sub_path)
-    model = resolve_model(cfg, cache_dir=_cache_dir(cfg, out))
+    model = resolve_model(cfg)
     reduced, lifted, values = _load_design_csv(design_path, sub.retained, sub.dimension)
     domain = geometry.build_reduced_domain(sub, model.domain)
     geometry.ReducedDesign(reduced, lifted, values).validate(domain)
@@ -427,10 +427,6 @@ def cmd_pipeline(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
         files.update(stage_files)
         info[name] = dict(stage_info, seconds=seconds)
     return files, info
-
-
-def _cache_dir(cfg: ExperimentConfig, out: Path) -> str:
-    return cfg.cache_dir if cfg.cache_dir else str(out / "cache")
 
 
 def _run_stage(name, cfg, out, seed, rep):

@@ -113,7 +113,10 @@ def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> 
     Stops when the relative Frobenius residual on the revealed set drops to
     params.tol, or when the absolute residual reaches params.eps (the noise
     level of the revealed values), whichever comes first. If the iteration
-    budget runs out the best iterate seen is returned with converged=False.
+    budget runs out the best iterate seen is returned with converged=False,
+    and so it is when the iteration diverges (an overlong step delta): the
+    residual of the thresholded iterate turns non-finite or the SVD fails.
+    Both cases warn; a divergence at the first iteration returns rank zero.
     """
     if params is None:
         params = SvtParams()
@@ -134,16 +137,24 @@ def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> 
     k0 = float(np.ceil(params.tau / (params.delta * np.linalg.norm(M0, 2))))
     Y = (k0 * params.delta) * M0
 
-    best = None
+    best = (np.empty((d, 0)), np.empty(0), np.empty((0, k)))
     best_rel = np.inf
     converged = False
+    diverged = None
     iterations = 0
     for it in range(1, params.max_iter + 1):
         iterations = it
-        U, S, Vt = _shrink(Y, params.tau)
+        try:
+            U, S, Vt = _shrink(Y, params.tau)
+        except np.linalg.LinAlgError as exc:
+            diverged = f"the SVD failed at iteration {it} ({exc})"
+            break
         X_obs = np.einsum("ij,j,ji->i", U[rows], S, Vt[:, cols]) if S.size else np.zeros(rows.size)
         resid = X_obs - vals
         abs_res = float(np.linalg.norm(resid))
+        if not np.isfinite(abs_res):
+            diverged = f"the residual became non-finite at iteration {it}"
+            break
         rel = abs_res / norm_obs
         if rel < best_rel:
             best_rel = rel
@@ -158,9 +169,9 @@ def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> 
     X_obs = np.einsum("ij,j,ji->i", U[rows], S, Vt[:, cols]) if S.size else np.zeros(rows.size)
     final_rel = float(np.linalg.norm(X_obs - vals)) / norm_obs
     if not converged:
+        why = f"diverged ({diverged})" if diverged else f"stopped at max_iter={params.max_iter}"
         warnings.warn(
-            f"singular value thresholding stopped at max_iter={params.max_iter} "
-            f"with relative residual {final_rel:.3e}",
+            f"singular value thresholding {why} with relative residual {final_rel:.3e}",
             RuntimeWarning,
         )
     return SvtResult(U, S, Vt.T, iterations, final_rel, converged)

@@ -33,7 +33,6 @@ class ExperimentConfig:
     gradient_mode: str = "exact"  # "exact" or "fd"
     fd_step: float = 1e-6
     full_eval: str = "auto"  # "auto" | "true" | "false"
-    cache_dir: str = ""
 
     # analytic model knobs
     ridge_direction: tuple[float, ...] = (1.0, 2.0, 3.0)
@@ -96,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("svt_max_iter, svt_rank, svt_rows, svt_cols must be >= 1")
         if self.pde_n < 2 or self.pde_d < 1:
             raise ConfigError("pde_n must be >= 2 and pde_d >= 1")
+        if self.model == "pde" and self.pde_d > self.pde_n**2:
+            raise ConfigError(f"pde_d={self.pde_d} exceeds the {self.pde_n**2} cells of the grid")
         for name in ("pde_rho1", "pde_rho2", "pde_half_width", "ridge_half_width", "quad_half_width"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

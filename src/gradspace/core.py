@@ -4,7 +4,7 @@ The central object is the matrix (|domain|/k) * J * J^T built from k sampled
 gradients; its leading eigenvectors span the directions along which the
 function varies most, and its null space holds the directions along which the
 function is flat. The eigendecomposition is obtained from an SVD of the
-scaled gradient matrix so the condition number is never squared.
+gradient matrix so the condition number is never squared.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ __all__ = [
 _SIGN_TOL = 1e-12
 _ORTHO_TOL = 1e-10
 _EIG_CLAMP = 1e-12
+# natural logs of the smallest normal and the largest finite float64
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
+_LOG_HUGE = float(np.log(np.finfo(float).max))
 
 
 def _as_array(x, name: str) -> np.ndarray:
@@ -210,35 +213,59 @@ class ActiveSubspace:
         return np.hstack([self.basis_a, self.basis_b])
 
 
+def _scaled_top(sv_top: float, domain: Hyperrectangle, k: int) -> float:
+    """(|domain|/k) * sv_top**2 summed in logs; ValueError if it is not a normal float64.
+
+    |domain| alone over- or underflows long before the spectrum does (4**600
+    at d=600 on [-2, 2]). The eigenvalues keep the |domain| scale, which the
+    acceptance criteria pin, rather than being normalized to the uniform
+    density; a spectrum outside float64 on that scale is an error.
+    """
+    d = domain.dimension
+    log_top = np.sum(np.log(domain.upper - domain.lower)) - np.log(k) + 2.0 * np.log(sv_top)
+    if not _LOG_TINY <= log_top <= _LOG_HUGE:
+        raise ValueError(
+            f"the top eigenvalue exp({log_top:.1f}) for d={d} on a box within "
+            f"[{domain.lower.min():g}, {domain.upper.max():g}]^{d} is not a normal float64"
+        )
+    return float(np.exp(log_top))
+
+
 def estimate_c_hat(samples: JacobianSamples, domain: Hyperrectangle) -> np.ndarray:
     """Monte Carlo estimate (|domain|/k) * J * J^T of the derivative outer-product matrix.
 
     Kept for tests and tiny dimensions; the detection path works on the SVD
-    of the scaled gradient matrix instead and never forms this product.
+    of the gradient matrix instead and never forms this product. The scale
+    is applied as in `detect_subspace`.
     """
     _validate_in_domain(samples, domain)
     J = samples.jacobian
-    C = (domain.volume() / samples.count) * (J @ J.T)
+    sv_top = np.linalg.norm(J, 2)
+    if sv_top == 0.0:
+        return np.zeros((samples.dimension, samples.dimension))
+    C = _scaled_top(sv_top, domain, samples.count) * ((J / sv_top) @ (J / sv_top).T)
     return 0.5 * (C + C.T)
 
 
 def detect_subspace(samples: JacobianSamples, domain: Hyperrectangle) -> ActiveSubspace:
-    """Eigendecomposition of the estimated derivative matrix, via SVD of sqrt(|domain|/k)*J.
+    """Eigendecomposition of the estimated derivative matrix, via the SVD of J.
 
     Returns the full (untruncated) subspace: basis_a holds all d eigenvectors
-    sorted by descending eigenvalue and basis_b is empty. Eigenvalues are the
-    squared singular values, zero-padded when fewer samples than dimensions.
+    sorted by descending eigenvalue and basis_b is empty. Eigenvalues are
+    |domain|/k times the squared singular values, zero-padded when fewer
+    samples than dimensions; a top eigenvalue that is not a normal float64
+    raises a ValueError naming d and the box.
     """
     _validate_in_domain(samples, domain)
     d, k = samples.dimension, samples.count
-    B = np.sqrt(domain.volume() / k) * samples.jacobian
-    U, sv, _ = np.linalg.svd(B, full_matrices=False)
+    U, sv, _ = np.linalg.svd(samples.jacobian, full_matrices=False)
     if U.shape[1] < d:
         # fewer samples than dimensions: complete the basis with the null space
         comp = scipy.linalg.null_space(U.T)
         U = np.hstack([U, comp])
     lam = np.zeros(d)
-    lam[: sv.size] = sv**2
+    if sv[0] > 0.0:
+        lam[: sv.size] = _scaled_top(sv[0], domain, k) * (sv / sv[0]) ** 2
     return ActiveSubspace(U, np.empty((d, 0)), lam)
 
 

@@ -17,14 +17,12 @@ factor.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from ..core import Hyperrectangle
+from ..core import Hyperrectangle, _apply_sign_convention
 
 __all__ = [
     "KlExpansion",
@@ -38,53 +36,56 @@ __all__ = [
     "gradient_q",
 ]
 
-_CACHE_VERSION = 1
 _RESID_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class KlExpansion:
-    """Nystrom eigenpairs of the covariance kernel on the grid nodes."""
+    """Nystrom eigenpairs of the covariance kernel at the cell centers."""
 
-    points: np.ndarray  # (N, 2) node coordinates
-    weights: np.ndarray  # (N,) quadrature weights
     eigenfunctions: np.ndarray  # (N, d)
     eigenvalues: np.ndarray  # (d,) descending, nonnegative
-    correlation_lengths: tuple[float, float]
 
     @property
     def truncation(self) -> int:
         return self.eigenvalues.size
 
 
-def build_kl(points, weights, d: int, rho: tuple[float, float]) -> KlExpansion:
-    """Top-d eigenpairs of the squared-exponential covariance via Nystrom.
+def _kl_factor(n: int, rho: float):
+    """Eigenpairs of h*exp(-dx^2/rho) on the n cell centers of one axis, ascending."""
+    h = 1.0 / n
+    coords = (np.arange(n) + 0.5) * h
+    diff = coords[:, None] - coords[None, :]
+    vals, vecs = scipy.linalg.eigh(h * np.exp(-diff * diff / rho))
+    return vals, _apply_sign_convention(vecs)
 
-    The symmetric weighted eigenproblem sqrt(W) C sqrt(W) is solved densely;
-    eigenfunctions are rescaled by 1/sqrt(w) so they are orthonormal under
-    the quadrature weights.
+
+def build_kl(n: int, d: int, rho: tuple[float, float]) -> KlExpansion:
+    """Top-d Nystrom eigenpairs of exp(-dx^2/rho1 - dy^2/rho2) on the n x n cell centers.
+
+    The kernel separates and the weights are a uniform h^2, so the N x N
+    Nystrom matrix is kron(h*C_y, h*C_x) in the ordering iy*n + ix: its
+    eigenpairs are products of two n x n ones (ties keep index order), and
+    nothing larger than n x n or N x d is formed. Both factors take core's
+    sign convention, so the result does not depend on the eigensolver's
+    signs. Eigenfunctions are orthonormal under the quadrature weights.
     """
-    points = np.asarray(points, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    N = points.shape[0]
+    N = n * n
     if not 1 <= d <= N:
         raise ValueError(f"truncation d={d} must be in 1..{N}")
     rho1, rho2 = float(rho[0]), float(rho[1])
     if rho1 <= 0 or rho2 <= 0:
         raise ValueError("correlation lengths must be positive")
-    dx = points[:, 0][:, None] - points[:, 0][None, :]
-    dy = points[:, 1][:, None] - points[:, 1][None, :]
-    C = np.exp(-(dx * dx / rho1 + dy * dy / rho2))
-    sw = np.sqrt(weights)
-    B = C * np.outer(sw, sw)
-    vals, vecs = scipy.linalg.eigh(B, subset_by_index=[N - d, N - 1])
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
+    h = 1.0 / n
+    lam_x, u_x = _kl_factor(n, rho1)
+    lam_y, v_y = _kl_factor(n, rho2)
+    order = np.argsort(-np.outer(lam_y, lam_x).ravel(), kind="stable")[:d]
+    iy, ix = np.divmod(order, n)
+    vals = lam_y[iy] * lam_x[ix]
     if np.any(vals < -1e-8 * max(vals[0], 1.0)):
         raise RuntimeError("covariance matrix has significantly negative eigenvalues")
-    vals = np.clip(vals, 0.0, None)
-    phi = vecs / sw[:, None]
-    return KlExpansion(points, weights, phi, vals, (rho1, rho2))
+    phi = (v_y[:, None, iy] * u_x[None, :, ix]).reshape(N, d) / h
+    return KlExpansion(phi, np.clip(vals, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -108,13 +109,6 @@ class PdeModel:
         return self.kl.truncation
 
 
-def _grid(n: int):
-    h = 1.0 / n
-    coords = (np.arange(n) + 0.5) * h
-    X, Y = np.meshgrid(coords, coords, indexing="xy")  # flat index = iy * n + ix
-    return np.column_stack([X.ravel(), Y.ravel()]), h
-
-
 def _faces(n: int):
     ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
 
@@ -134,47 +128,17 @@ def _faces(n: int):
     return p, q, dval
 
 
-def _cache_key(n: int, d: int, rho: tuple[float, float]) -> str:
-    text = f"v{_CACHE_VERSION}|n={n}|d={d}|rho={rho[0]:.17g},{rho[1]:.17g}"
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def make_pde_model(
     n: int = 33,
     d: int = 50,
     rho: tuple[float, float] = (1.0, 0.05),
     box_half_width: float = 2.0,
-    cache_dir: str | Path | None = None,
 ) -> PdeModel:
-    """Assemble the demonstration model; eigenpairs are cached when a dir is given."""
+    """Assemble the demonstration model on an n x n grid with d expansion parameters."""
     if n < 2:
         raise ValueError("need at least 2 cells per side")
-    points, h = _grid(n)
-    weights = np.full(points.shape[0], h * h)
-
-    kl = None
-    cache_file = None
-    if cache_dir is not None:
-        cache_file = Path(cache_dir) / f"kl_{_cache_key(n, d, rho)}.npz"
-        if cache_file.exists():
-            data = np.load(cache_file)
-            if int(data["version"]) == _CACHE_VERSION:
-                kl = KlExpansion(
-                    data["points"], data["weights"], data["eigenfunctions"],
-                    data["eigenvalues"], (float(data["rho"][0]), float(data["rho"][1])),
-                )
-    if kl is None:
-        kl = build_kl(points, weights, d, rho)
-        if cache_file is not None:
-            cache_file.parent.mkdir(parents=True, exist_ok=True)
-            tmp = cache_file.with_suffix(".tmp.npz")
-            np.savez(
-                tmp, version=_CACHE_VERSION, points=kl.points, weights=kl.weights,
-                eigenfunctions=kl.eigenfunctions, eigenvalues=kl.eigenvalues,
-                rho=np.array(rho),
-            )
-            tmp.replace(cache_file)
-
+    kl = build_kl(n, d, rho)
+    h = 1.0 / n
     c = np.zeros(n * n)
     c[np.arange(n) * n + (n - 1)] = 1.0 / n  # right-edge cells, weights sum to one
     p, q, dval = _faces(n)

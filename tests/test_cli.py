@@ -75,6 +75,19 @@ class TestConfigParsing:
         cfg = parse_config("k = 7\nschedule_step = 3")
         assert cfg.schedule() == [3, 6, 7]
 
+    def test_pde_truncation_bounded_by_grid(self):
+        with pytest.raises(ConfigError, match="pde_d=37 exceeds the 36 cells"):
+            parse_config("model = pde\npde_n = 6\npde_d = 37")
+        assert parse_config("model = pde\npde_n = 6\npde_d = 36").pde_d == 36
+        # the pde keys are inert for the other models
+        assert parse_config("model = cos2\npde_n = 6\npde_d = 37").pde_d == 37
+
+    def test_pde_truncation_bound_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("model = pde\npde_n = 4\npde_d = 17\n")
+        assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "pde_d=17" in capsys.readouterr().err
+
     def test_smoothing_default_by_model(self):
         assert parse_config("model = cos2").smoothing_scale() == 0.0
         assert parse_config("model = pde").smoothing_scale() == pytest.approx(1e-6)
@@ -293,6 +306,33 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
         assert "[surrogate]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("half_width", ["2", "0.1"])
+    def test_unrepresentable_spectrum_exit_code_names_detect(self, tmp_path, capfd, half_width):
+        # |D|/k times the squared gradients over- (600 dims on [-2, 2]) or
+        # underflows (500 dims on [-0.1, 0.1]) float64
+        dim = 600 if half_width == "2" else 500
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"model = quadratic\nquad_dim = {dim}\nquad_half_width = {half_width}\n"
+            "k = 5\na = 1\nn_design = 5\neval_points = 10\n"
+        )
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
+        err = capfd.readouterr().err  # file-descriptor level: LAPACK prints there
+        assert "[detect]" in err and f"d={dim}" in err
+        assert "DLASCL" not in err
+
+    def test_pipeline_writes_only_manifest_files(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "model = pde\npde_n = 6\npde_d = 8\nk = 20\na = 2\nn_design = 10\neval_points = 50\n"
+        )
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config), "--seed", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*")}
+        assert written == {"manifest.json", *manifest["files"]}
 
     def test_replicates_write_suffixed_outputs(self, tmp_path):
         config = tmp_path / "run.cfg"

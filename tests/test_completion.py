@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradspace import completion
 from gradspace.completion import RevealedEntries, SvtParams, reveal_uniform, svt_complete
 from gradspace.core import Hyperrectangle, JacobianSamples, detect_subspace, subspace_distance
 from gradspace.util import make_rng
@@ -187,6 +188,68 @@ class TestSvtComplete:
         with pytest.warns(RuntimeWarning, match="max_iter"):
             result = svt_complete(observed, SvtParams(max_iter=2))
         assert not result.converged
+
+    def test_divergence_returns_best_iterate(self):
+        # the acceptance c06 matrix at gamma = 0.1 with tau = 5*sqrt(dk) and an
+        # uncapped step delta = 1.2/gamma: the iterates blow up
+        rng = make_rng(2026, stream=6)
+        d, k, rank = 100, 400, 5
+        U0 = np.linalg.qr(rng.standard_normal((d, rank)))[0]
+        V0 = np.linalg.qr(rng.standard_normal((k, rank)))[0]
+        J = (U0 * np.linspace(800.0, 400.0, rank)) @ V0.T
+        observed = reveal_uniform(J, 0.1, rng)
+        with pytest.warns(RuntimeWarning, match="diverged"):
+            result = svt_complete(observed, SvtParams(tau=5.0 * np.sqrt(d * k), delta=12.0))
+        assert not result.converged
+        assert result.iterations < 1000
+        for part in (result.left_vectors, result.singular_values, result.right_vectors):
+            assert np.all(np.isfinite(part))
+        X = (result.left_vectors * result.singular_values) @ result.right_vectors.T
+        rel = np.linalg.norm(X[observed.rows, observed.cols] - observed.values) / np.linalg.norm(
+            observed.values
+        )
+        assert result.residual == pytest.approx(rel, rel=1e-12)
+        assert result.residual < 1.0
+
+    @pytest.mark.parametrize(
+        "failure, message",
+        [("raise", "SVD failed at iteration 3"), ("nan", "non-finite at iteration 3")],
+    )
+    def test_divergence_keeps_best_iterate(self, monkeypatch, failure, message):
+        J = low_rank_matrix(40, 60, [300.0, 200.0], seed=85)
+        observed = reveal_uniform(J, 0.5, make_rng(86))
+        with pytest.warns(RuntimeWarning, match="max_iter"):
+            two_steps = svt_complete(observed, SvtParams(max_iter=2))
+        shrink, calls = completion._shrink, []
+
+        def failing_third_call(Y, tau):
+            calls.append(1)
+            U, S, Vt = shrink(Y, tau)
+            if len(calls) == 3:
+                if failure == "raise":
+                    raise np.linalg.LinAlgError("SVD did not converge")
+                S = np.full_like(S, np.nan)
+            return U, S, Vt
+
+        monkeypatch.setattr(completion, "_shrink", failing_third_call)
+        with pytest.warns(RuntimeWarning, match=message):
+            result = svt_complete(observed, SvtParams(max_iter=10))
+        assert not result.converged and result.iterations == 3
+        np.testing.assert_array_equal(result.left_vectors, two_steps.left_vectors)
+        np.testing.assert_array_equal(result.singular_values, two_steps.singular_values)
+        assert result.residual == two_steps.residual
+
+    def test_svd_failure_at_first_iteration_gives_rank_zero(self, monkeypatch):
+        def failing(Y, tau):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(completion, "_shrink", failing)
+        observed = reveal_uniform(low_rank_matrix(10, 12, [50.0], seed=87), 1.0, make_rng(88))
+        with pytest.warns(RuntimeWarning, match="diverged"):
+            result = svt_complete(observed)
+        assert result.rank == 0 and not result.converged
+        assert result.left_vectors.shape == (10, 0) and result.right_vectors.shape == (12, 0)
+        assert result.residual == 1.0
 
     def test_rejects_empty_observation(self):
         with pytest.warns(RuntimeWarning, match="no revealed entry"):

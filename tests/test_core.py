@@ -179,6 +179,29 @@ class TestDetectSubspace:
         with pytest.raises(ValueError):
             JacobianSamples(np.zeros((1, 2)), np.array([[np.nan], [0.0]]))
 
+    # |D| = 4**600 overflows and 0.2**500 underflows; so do the top eigenvalues
+    @pytest.mark.parametrize("d, half_width", [(600, 2.0), (500, 0.1)])
+    @pytest.mark.parametrize("estimator", [detect_subspace, estimate_c_hat])
+    def test_unrepresentable_spectrum_raises(self, d, half_width, estimator):
+        rng = make_rng(12)
+        box = Hyperrectangle.cube(d, half_width)
+        samples = JacobianSamples(box.sample(rng, 10), rng.standard_normal((d, 10)))
+        with pytest.raises(ValueError, match=rf"d={d}\b.*\[-{half_width:g}, {half_width:g}\]\^{d}"):
+            estimator(samples, box)
+
+    def test_overflowing_volume_with_representable_spectrum(self):
+        # |D| = 4**600 is not a float64, but with gradients of size 1e-200 the
+        # scaled spectrum is; it must come out on the |D|/k convention
+        rng = make_rng(13)
+        d, k = 600, 10
+        box = Hyperrectangle.cube(d, 2.0)
+        J = 1e-200 * rng.standard_normal((d, k))
+        sub = detect_subspace(JacobianSamples(box.sample(rng, k), J), box)
+        sv = np.linalg.svd(J, compute_uv=False)
+        expected = np.exp(d * np.log(4.0) - np.log(k) + 2.0 * np.log(sv))
+        np.testing.assert_allclose(sub.eigenvalues[:k], expected, rtol=1e-12)
+        np.testing.assert_array_equal(sub.eigenvalues[k:], 0.0)
+
 
 class TestRidgeRankOne:
     def test_random_ridges(self):

@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from gradspace.models import pde
 from gradspace.models.pde import (
     _assemble,
-    _grid,
     build_kl,
     coefficient_field,
     gradient_q,
@@ -68,44 +68,98 @@ def _grid_model(n):
     return make_pde_model(n=n, d=min(6, n * n), rho=(1.0, 0.05))
 
 
+def _grid(n):
+    h = 1.0 / n
+    coords = (np.arange(n) + 0.5) * h
+    X, Y = np.meshgrid(coords, coords, indexing="xy")  # flat index = iy * n + ix
+    return np.column_stack([X.ravel(), Y.ravel()]), h
+
+
+def _dense_kl(n, d, rho):
+    """Oracle: top-d eigenpairs of the dense N x N Nystrom matrix, N = n^2."""
+    pts, h = _grid(n)
+    N = n * n
+    dx = pts[:, 0][:, None] - pts[:, 0][None, :]
+    dy = pts[:, 1][:, None] - pts[:, 1][None, :]
+    B = np.exp(-(dx * dx / rho[0] + dy * dy / rho[1])) * (h * h)
+    vals, vecs = scipy.linalg.eigh(B, subset_by_index=[N - d, N - 1])
+    return vals[::-1], vecs[:, ::-1] / h
+
+
 class TestKlExpansion:
     def test_isotropic_kernel_spectrum_symmetric_under_swap(self):
-        pts, h = _grid(12)
-        w = np.full(len(pts), h * h)
-        kl_xy = build_kl(pts, w, 20, (0.3, 0.3))
-        swapped = pts[:, ::-1].copy()
-        kl_yx = build_kl(swapped, w, 20, (0.3, 0.3))
-        np.testing.assert_allclose(kl_xy.eigenvalues, kl_yx.eigenvalues, rtol=1e-8)
+        # on the square grid, swapping the correlation lengths swaps the axes;
+        # the isotropic kernel is its own swap
+        for rho in ((0.3, 0.3), (1.0, 0.05), (0.2, 0.7)):
+            kl_xy = build_kl(12, 20, rho)
+            kl_yx = build_kl(12, 20, rho[::-1])
+            np.testing.assert_allclose(kl_xy.eigenvalues, kl_yx.eigenvalues, rtol=1e-8)
 
     def test_short_correlation_decays_slower(self):
         # oracle: direct eigendecomposition under both settings; the short
         # vertical correlation length spreads energy over more modes
-        pts, h = _grid(12)
-        w = np.full(len(pts), h * h)
-        kl_aniso = build_kl(pts, w, 25, (1.0, 0.05))
-        kl_iso = build_kl(pts, w, 25, (1.0, 1.0))
+        kl_aniso = build_kl(12, 25, (1.0, 0.05))
+        kl_iso = build_kl(12, 25, (1.0, 1.0))
         ratio_aniso = kl_aniso.eigenvalues[24] / kl_aniso.eigenvalues[0]
         ratio_iso = kl_iso.eigenvalues[24] / kl_iso.eigenvalues[0]
         assert ratio_aniso > ratio_iso
 
     def test_spectrum_positive_descending(self):
-        pts, h = _grid(9)
-        w = np.full(len(pts), h * h)
-        kl = build_kl(pts, w, 15, (1.0, 0.05))
+        kl = build_kl(9, 15, (1.0, 0.05))
         assert np.all(kl.eigenvalues > 0)
         assert np.all(np.diff(kl.eigenvalues) <= 0)
 
     def test_orthonormal_under_quadrature_weights(self):
-        pts, h = _grid(10)
-        w = np.full(len(pts), h * h)
-        kl = build_kl(pts, w, 12, (1.0, 0.05))
-        gram = kl.eigenfunctions.T @ (w[:, None] * kl.eigenfunctions)
+        h = 1.0 / 10
+        kl = build_kl(10, 12, (1.0, 0.05))
+        gram = kl.eigenfunctions.T @ (h * h * kl.eigenfunctions)
         np.testing.assert_allclose(gram, np.eye(12), atol=1e-6)
 
     def test_rejects_oversized_truncation(self):
-        pts, h = _grid(4)
         with pytest.raises(ValueError):
-            build_kl(pts, np.full(len(pts), h * h), 17, (1.0, 1.0))
+            build_kl(4, 17, (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "n, d, rho",
+        [(12, 20, (1.0, 0.05)), (17, 40, (0.3, 0.7)), (20, 100, (0.5, 0.1)), (9, 81, (1.0, 0.05))],
+    )
+    def test_matches_dense_nystrom(self, n, d, rho):
+        kl = build_kl(n, d, rho)
+        vals, phi = _dense_kl(n, d, rho)
+        lam0 = vals[0]
+        np.testing.assert_allclose(kl.eigenvalues, np.clip(vals, 0.0, None), rtol=0, atol=1e-12 * lam0)
+        # eigenvectors are defined up to sign, and only where the eigenvalue is
+        # separated from its neighbours; compare the unit-norm vectors there
+        gaps = np.minimum(
+            np.abs(np.diff(vals, prepend=np.inf)), np.abs(np.diff(vals, append=-np.inf))
+        )
+        separated = gaps > 1e-8 * lam0
+        assert separated.sum() >= d // 2
+        h = 1.0 / n
+        ours, theirs = h * kl.eigenfunctions[:, separated], h * phi[:, separated]
+        signs = np.sign(np.sum(ours * theirs, axis=0))
+        np.testing.assert_allclose(ours, theirs * signs, rtol=0, atol=1e-7)
+
+    def test_independent_of_eigensolver_signs(self, monkeypatch):
+        reference = build_kl(11, 30, (1.0, 0.05))
+        eigh = scipy.linalg.eigh
+
+        def flipped(*args, **kwargs):
+            vals, vecs = eigh(*args, **kwargs)
+            return vals, -vecs
+
+        monkeypatch.setattr(pde.scipy.linalg, "eigh", flipped)
+        kl = build_kl(11, 30, (1.0, 0.05))
+        np.testing.assert_array_equal(kl.eigenfunctions, reference.eigenfunctions)
+        np.testing.assert_array_equal(kl.eigenvalues, reference.eigenvalues)
+        assert np.all(kl.eigenfunctions[0] > 0)  # cell (0, 0): both factors' first entries
+
+    def test_large_grid_builds(self):
+        model = make_pde_model(n=129, d=50)
+        phi = model.kl.eigenfunctions
+        assert phi.shape == (129 * 129, 50)
+        gram = phi.T @ phi / 129**2
+        np.testing.assert_allclose(gram, np.eye(50), atol=1e-10)
 
 
 class TestCoefficientField:
@@ -302,17 +356,3 @@ class TestGradient:
         qm = qoi(model, solve_forward(model, np.array([t - h])))
         fd = (qp - qm) / (2 * h)
         assert grad[0] == pytest.approx(fd, rel=1e-4)
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        m1 = make_pde_model(n=9, d=6, rho=(1.0, 0.05), cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("kl_*.npz"))) == 1
-        m2 = make_pde_model(n=9, d=6, rho=(1.0, 0.05), cache_dir=tmp_path)
-        np.testing.assert_array_equal(m1.kl.eigenfunctions, m2.kl.eigenfunctions)
-        np.testing.assert_array_equal(m1.kl.eigenvalues, m2.kl.eigenvalues)
-
-    def test_distinct_settings_get_distinct_entries(self, tmp_path):
-        make_pde_model(n=9, d=6, rho=(1.0, 0.05), cache_dir=tmp_path)
-        make_pde_model(n=9, d=6, rho=(1.0, 0.5), cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("kl_*.npz"))) == 2
