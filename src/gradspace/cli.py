@@ -291,11 +291,13 @@ def cmd_complete(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     return files, info
 
 
-def _load_samples_csv(path, d: int):
+def _load_csv(path: Path, *widths: int):
+    """Column blocks of the given widths, then the final value column, of a stage's CSV."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != d + 1:
-        raise ValueError(f"samples file has {data.shape[1]} columns, expected {d + 1}")
-    return data[:, :d], data[:, d]
+    expected = sum(widths) + 1
+    if data.shape[1] != expected:
+        raise ValueError(f"{path.name} has {data.shape[1]} columns, expected {expected}")
+    return *np.split(data[:, :-1], np.cumsum(widths)[:-1], axis=1), data[:, -1]
 
 
 def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
@@ -306,7 +308,7 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
         raise ConfigError("sample stage needs subspace.bin and samples.csv from detect")
     sub, _ = read_subspace(sub_path)
     model = resolve_model(cfg)
-    sites, values = _load_samples_csv(samples_path, sub.dimension)
+    sites, values = _load_csv(samples_path, sub.dimension)
 
     domain = geometry.build_reduced_domain(sub, model.domain)
     rng = make_rng(seed, _STREAM_SAMPLE, rep)
@@ -338,13 +340,6 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     return files, info
 
 
-def _load_design_csv(path, a: int, d: int):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != a + d + 1:
-        raise ValueError(f"design file has {data.shape[1]} columns, expected {a + d + 1}")
-    return data[:, :a], data[:, a : a + d], data[:, a + d]
-
-
 def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     """Fit the reduced-space model and write prediction/error histograms."""
     sub_path = out / "subspace.bin"
@@ -353,7 +348,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
         raise ConfigError("surrogate stage needs subspace.bin and design.csv")
     sub, _ = read_subspace(sub_path)
     model = resolve_model(cfg)
-    reduced, lifted, values = _load_design_csv(design_path, sub.retained, sub.dimension)
+    reduced, lifted, values = _load_csv(design_path, sub.retained, sub.dimension)
     domain = geometry.build_reduced_domain(sub, model.domain)
     geometry.ReducedDesign(reduced, lifted, values).validate(domain)
 

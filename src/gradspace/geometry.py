@@ -2,14 +2,16 @@
 
 The reduced domain is the image of the full box under projection onto the
 retained basis. It is convex but not a box, so sampling draws uniformly from
-an enclosing box and keeps a point when it projects back into the full domain
-either directly or after walking along the complement directions, which is a
-small equality-constrained feasibility LP.
+an enclosing box and keeps a point t when one routine, `_classify`, finds a
+full-space point over it: first the back-projection V_a t if it lies in the
+box, otherwise the solution x of a small equality-constrained feasibility LP,
+lifted to V_a t + V_b V_b^T x. `membership`, `lift` and both samplers all
+decide through that routine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,7 +46,6 @@ class MembershipKind(Enum):
 @dataclass(frozen=True)
 class Membership:
     kind: MembershipKind
-    complement_coords: np.ndarray | None = None  # z such that V_a t + V_b z is inside
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,7 @@ class SamplerStats:
     acceptance_rate: float
 
     def as_dict(self) -> dict:
-        return {
-            "draws": self.draws,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "lp_calls": self.lp_calls,
-            "acceptance_rate": self.acceptance_rate,
-        }
+        return asdict(self)
 
 
 def build_reduced_domain(
@@ -127,45 +122,51 @@ def _feasibility_lp(domain: ReducedDomain, t: np.ndarray) -> LinearProgram:
     )
 
 
-def membership(domain: ReducedDomain, t) -> Membership:
-    """Classify a reduced point: directly inside, inside after lifting, or outside."""
+def _classify(domain: ReducedDomain, t: np.ndarray) -> tuple[MembershipKind, np.ndarray | None]:
+    """Decide a reduced point and lift it: (kind, full-space point over t, or None if outside)."""
+    Va = domain.subspace.basis_a
+    s = Va @ t
+    if domain.full_domain.contains(s, tol=_BOX_TOL):
+        return MembershipKind.DIRECTLY_INSIDE, s
+    sol = lp_solve(_feasibility_lp(domain, t))
+    if sol.status is LpStatus.INFEASIBLE:
+        return MembershipKind.OUTSIDE, None
+    if sol.status is not LpStatus.OPTIMAL:
+        raise RuntimeError("feasibility LP reported unbounded on a compact box")
+    Vb = domain.subspace.basis_b
+    s = s + Vb @ (Vb.T @ sol.point)
+    # holds for any LP point when V_a^T V_b = 0; it catches a basis that is not orthogonal
+    if np.max(np.abs(Va.T @ s - t)) > _PROJ_TOL:
+        raise RuntimeError("lifted point lost projection consistency")
+    if not domain.full_domain.contains(s, tol=_BOX_TOL):
+        raise RuntimeError("lifted point left the full domain")
+    return MembershipKind.LIFTABLE_INSIDE, s
+
+
+def _checked_point(domain: ReducedDomain, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("reduced point contains non-finite entries")
     if t.shape != (domain.reduced_dimension,):
         raise ValueError("reduced point has the wrong length")
-    back = domain.subspace.basis_a @ t
-    if domain.full_domain.contains(back, tol=_BOX_TOL):
-        return Membership(MembershipKind.DIRECTLY_INSIDE)
-    sol = lp_solve(_feasibility_lp(domain, t))
-    if sol.status is LpStatus.OPTIMAL:
-        z = domain.subspace.basis_b.T @ sol.point
-        return Membership(MembershipKind.LIFTABLE_INSIDE, z)
-    if sol.status is LpStatus.INFEASIBLE:
-        return Membership(MembershipKind.OUTSIDE)
-    raise RuntimeError("feasibility LP reported unbounded on a compact box")
+    return t
 
 
-def _lift_from_membership(domain: ReducedDomain, t: np.ndarray, m: Membership) -> np.ndarray:
-    if m.kind is MembershipKind.OUTSIDE:
-        raise ValueError("cannot lift a point outside the reduced domain")
-    s = domain.subspace.basis_a @ t
-    if m.kind is MembershipKind.LIFTABLE_INSIDE:
-        s = s + domain.subspace.basis_b @ m.complement_coords
-    if np.max(np.abs(domain.subspace.basis_a.T @ s - t)) > _PROJ_TOL:
-        raise RuntimeError("lifted point lost projection consistency")
-    if not domain.full_domain.contains(s, tol=_BOX_TOL):
-        raise RuntimeError("lifted point left the full domain")
-    return s
+def membership(domain: ReducedDomain, t) -> Membership:
+    """Classify a reduced point: directly inside, inside after lifting, or outside."""
+    kind, _ = _classify(domain, _checked_point(domain, t))
+    return Membership(kind)
 
 
 def lift(domain: ReducedDomain, t) -> np.ndarray:
     """Full-space point over t: the back-projection, walked into the domain if needed."""
-    t = np.asarray(t, dtype=float)
-    return _lift_from_membership(domain, t, membership(domain, t))
+    kind, s = _classify(domain, _checked_point(domain, t))
+    if kind is MembershipKind.OUTSIDE:
+        raise ValueError("cannot lift a point outside the reduced domain")
+    return s
 
 
-def _sample(domain: ReducedDomain, n: int, rng: np.random.Generator, want_lifts: bool):
+def _sample(domain: ReducedDomain, n: int, rng: np.random.Generator):
     if n < 1:
         raise ValueError("need n >= 1 samples")
     bb = domain.bounding_box
@@ -176,22 +177,12 @@ def _sample(domain: ReducedDomain, n: int, rng: np.random.Generator, want_lifts:
     while len(accepted) < n:
         t = rng.uniform(bb.lower, bb.upper)
         draws += 1
-        back = domain.subspace.basis_a @ t
-        if domain.full_domain.contains(back, tol=_BOX_TOL):
-            accepted.append(t)
-            if want_lifts:
-                lifted.append(back)
-        else:
+        kind, s = _classify(domain, t)
+        if kind is not MembershipKind.DIRECTLY_INSIDE:
             lp_calls += 1
-            sol = lp_solve(_feasibility_lp(domain, t))
-            if sol.status is LpStatus.OPTIMAL:
-                accepted.append(t)
-                if want_lifts:
-                    m = Membership(
-                        MembershipKind.LIFTABLE_INSIDE,
-                        domain.subspace.basis_b.T @ sol.point,
-                    )
-                    lifted.append(_lift_from_membership(domain, t, m))
+        if s is not None:
+            accepted.append(t)
+            lifted.append(s)
         if draws % 1_000_000 == 0 and len(accepted) < 1e-4 * draws:
             raise RuntimeError(
                 f"acceptance rate below 1e-4 after {draws} draws: the enclosing box "
@@ -204,7 +195,7 @@ def _sample(domain: ReducedDomain, n: int, rng: np.random.Generator, want_lifts:
         lp_calls=lp_calls,
         acceptance_rate=n / draws,
     )
-    return np.array(accepted), (np.array(lifted) if want_lifts else None), stats
+    return ReducedDesign(np.array(accepted), np.array(lifted)), stats
 
 
 def sample_reduced(
@@ -215,13 +206,12 @@ def sample_reduced(
     The cheap box test on the back-projection runs before any LP; the LP only
     decides the points whose back-projection misses the full domain.
     """
-    accepted, _, stats = _sample(domain, n, rng, want_lifts=False)
-    return accepted, stats
+    design, stats = _sample(domain, n, rng)
+    return design.reduced_points, stats
 
 
 def build_reduced_design(
     domain: ReducedDomain, n: int, rng: np.random.Generator
 ) -> tuple[ReducedDesign, SamplerStats]:
     """Sample n reduced points and lift each one, reusing the acceptance LP solution."""
-    accepted, lifted, stats = _sample(domain, n, rng, want_lifts=True)
-    return ReducedDesign(accepted, lifted), stats
+    return _sample(domain, n, rng)

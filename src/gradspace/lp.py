@@ -86,19 +86,16 @@ def minimize_linear_over_box(c, box: Hyperrectangle) -> tuple[float, np.ndarray]
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve the program; deterministic for fixed input data."""
     box = lp.box
-    if lp.eq_matrix is None:
-        value, point = minimize_linear_over_box(lp.objective, box)
-        return LpSolution(LpStatus.OPTIMAL, point, value)
-
     A, r = lp.eq_matrix, lp.eq_rhs
+    if A is None:
+        A, r = np.empty((0, box.dimension)), np.empty(0)
     # drop zero rows; a zero row with nonzero rhs is an immediate contradiction
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
-    row_mag = np.max(np.abs(A), axis=1) if A.size else np.zeros(A.shape[0])
+    row_mag = np.max(np.abs(A), axis=1, initial=0.0)
+    scale = max(1.0, float(np.max(row_mag, initial=0.0)))
     zero_rows = row_mag <= 1e-14 * scale
-    if np.any(zero_rows):
-        if np.any(np.abs(r[zero_rows]) > FEAS_TOL * (1.0 + np.abs(r[zero_rows]))):
-            return LpSolution(LpStatus.INFEASIBLE)
-        A, r = A[~zero_rows], r[~zero_rows]
+    if np.any(np.abs(r[zero_rows]) > FEAS_TOL * (1.0 + np.abs(r[zero_rows]))):
+        return LpSolution(LpStatus.INFEASIBLE)
+    A, r = A[~zero_rows], r[~zero_rows]
     if A.shape[0] == 0:
         value, point = minimize_linear_over_box(lp.objective, box)
         return LpSolution(LpStatus.OPTIMAL, point, value)
@@ -122,7 +119,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         raise RuntimeError(f"HiGHS failed on the LP (status {res.status}: {res.message})")
 
     point = np.clip(res.x, box.lower, box.upper)
-    resid = np.max(np.abs(A @ point - r)) if A.size else 0.0
+    resid = np.max(np.abs(A @ point - r))
     if resid > 1e-8 * (1.0 + np.linalg.norm(r)):
         raise RuntimeError(f"HiGHS returned an inaccurate point (residual {resid:.3e})")
     return LpSolution(LpStatus.OPTIMAL, point, float(lp.objective @ point))

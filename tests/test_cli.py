@@ -307,6 +307,22 @@ class TestMain:
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
         assert "[surrogate]" in capsys.readouterr().err
 
+    def test_design_with_missing_column_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("model = cos2\nk = 20\na = 1\nn_design = 10\neval_points = 50\n")
+        out = tmp_path / "out"
+        for stage in ("detect", "sample"):
+            assert main([stage, "--config", str(config), "--seed", "5", "--out", str(out)]) == 0
+        design = out / "design.csv"
+        # drop the last lifted coordinate: y_1, s_1, value remain of y_1, s_1, s_2, value
+        rows = [line.split(",") for line in design.read_text().splitlines()]
+        design.write_text("".join(",".join(r[:-2] + r[-1:]) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main(["surrogate", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "[surrogate]" in err
+        assert "design.csv has 3 columns, expected 4" in err
+
     @pytest.mark.parametrize("half_width", ["2", "0.1"])
     def test_unrepresentable_spectrum_exit_code_names_detect(self, tmp_path, capfd, half_width):
         # |D|/k times the squared gradients over- (600 dims on [-2, 2]) or

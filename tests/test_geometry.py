@@ -10,6 +10,7 @@ from gradspace.core import (
     detect_subspace,
     truncate,
 )
+from gradspace import geometry
 from gradspace.geometry import (
     MembershipKind,
     build_reduced_design,
@@ -18,6 +19,7 @@ from gradspace.geometry import (
     membership,
     sample_reduced,
 )
+from gradspace.lp import LpSolution, LpStatus
 from gradspace.util import make_rng
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -254,3 +256,75 @@ class TestSampleReduced:
         design, stats = build_reduced_design(rd, 10, make_rng(60))
         design.validate(rd)
         assert 0.0 < stats.acceptance_rate <= 1.0
+
+
+class TestEntryPointsAgree:
+    """`membership`, `lift` and the samplers decide every reduced point the same way."""
+
+    @pytest.fixture
+    def sampled(self):
+        sub = random_subspace(10, 2, seed=61)
+        rd = build_reduced_domain(sub, Hyperrectangle.cube(10, 1.0))
+        design, stats = build_reduced_design(rd, 60, make_rng(62))
+        return rd, design, stats
+
+    def test_design_rows_equal_lift(self, sampled):
+        rd, design, _ = sampled
+        for t, s in zip(design.reduced_points, design.lifted_points):
+            np.testing.assert_array_equal(lift(rd, t), s)
+
+    def test_direct_kind_exactly_where_lift_is_back_projection(self, sampled):
+        rd, design, _ = sampled
+        direct = [
+            np.array_equal(s, rd.subspace.basis_a @ t)
+            for t, s in zip(design.reduced_points, design.lifted_points)
+        ]
+        kinds = [membership(rd, t).kind for t in design.reduced_points]
+        assert [k is MembershipKind.DIRECTLY_INSIDE for k in kinds] == direct
+        assert 0 < sum(direct) < len(direct)  # both paths are exercised
+        assert MembershipKind.OUTSIDE not in kinds
+
+    def test_lp_calls_count_draws_leaving_the_box(self, sampled):
+        rd, _, stats = sampled
+        # replay the sampler's random stream and count the back-projections
+        # that miss the full domain: exactly those draws go to the LP
+        rng = make_rng(62)
+        bb = rd.bounding_box
+        draws = [rng.uniform(bb.lower, bb.upper) for _ in range(stats.draws)]
+        missed = sum(
+            not rd.full_domain.contains(rd.subspace.basis_a @ t, tol=1e-9) for t in draws
+        )
+        assert stats.lp_calls == missed
+        assert stats.rejected > 0
+
+
+class TestClassifierGuards:
+    """A bad LP answer raises from every entry point instead of being counted as a rejection."""
+
+    @staticmethod
+    def _outside_box_point(lp):
+        return LpSolution(LpStatus.OPTIMAL, np.full(lp.box.dimension, 10.0), 0.0)
+
+    @staticmethod
+    def _unbounded(lp):
+        return LpSolution(LpStatus.UNBOUNDED)
+
+    @pytest.fixture
+    def domain(self):
+        sub = random_subspace(10, 2, seed=61)
+        return build_reduced_domain(sub, Hyperrectangle.cube(10, 1.0))
+
+    @pytest.mark.parametrize(
+        "fake_lp, message",
+        [("_outside_box_point", "left the full domain"), ("_unbounded", "unbounded")],
+    )
+    @pytest.mark.parametrize("entry", ["lift", "build_reduced_design"])
+    def test_raises(self, domain, monkeypatch, fake_lp, message, entry):
+        monkeypatch.setattr(geometry, "lp_solve", getattr(self, fake_lp))
+        t = 0.99 * domain.bounding_box.upper
+        assert not domain.full_domain.contains(domain.subspace.basis_a @ t, tol=1e-9)
+        with pytest.raises(RuntimeError, match=message):
+            if entry == "lift":
+                lift(domain, t)
+            else:
+                build_reduced_design(domain, 60, make_rng(62))
