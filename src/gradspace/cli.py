@@ -13,6 +13,7 @@ failing stage is named on standard error).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -40,7 +41,7 @@ from .core import (
 from .models import analytic, pde
 from .util import histogram_csv, make_rng, read_container, sha256_file, write_container, write_csv
 
-__all__ = ["main", "cmd_detect", "cmd_complete", "cmd_sample", "cmd_surrogate", "cmd_pipeline"]
+__all__ = ["main", "cmd_detect", "cmd_complete", "cmd_sample", "cmd_surrogate"]
 
 _SUBSPACE_MAGIC = b"GSUB0001"
 _JACOBIAN_MAGIC = b"GJAC0001"
@@ -193,7 +194,7 @@ def cmd_detect(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     bases = {}
     for m in schedule:
         sub_m = detect_subspace(JacobianSamples(sites[:m], J[:, :m]), model.domain)
-        bases[m] = truncate(sub_m, min(a, d)).basis_a
+        bases[m] = truncate(sub_m, a).basis_a
     rows = []
     for i in range(len(schedule) - 1):
         m, m_next = schedule[i], schedule[i + 1]
@@ -278,13 +279,7 @@ def cmd_complete(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
         rows,
     )
     info = {
-        "svt_params": {
-            "tau": params.tau,
-            "delta": params.delta,
-            "tol": params.tol,
-            "eps": params.eps,
-            "max_iter": params.max_iter,
-        },
+        "svt_params": dataclasses.asdict(params),
         "synthetic": cfg.svt_synthetic,
         "truncation": a,
     }
@@ -410,20 +405,6 @@ _STAGES = {
 }
 
 
-def cmd_pipeline(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
-    """detect -> (complete when requested) -> sample -> surrogate."""
-    stages = ["detect"]
-    if cfg.gamma_sweep or cfg.svt_synthetic:
-        stages.append("complete")
-    stages += ["sample", "surrogate"]
-    files, info = {}, {}
-    for name in stages:
-        stage_files, stage_info, seconds = _run_stage(name, cfg, out, seed, rep)
-        files.update(stage_files)
-        info[name] = dict(stage_info, seconds=seconds)
-    return files, info
-
-
 def _run_stage(name, cfg, out, seed, rep):
     start = time.perf_counter()
     try:
@@ -474,16 +455,20 @@ def _write_manifest(out: Path, command: str, cfg, seed: int, rep: int, files, in
 
 
 def run_command(command: str, cfg: ExperimentConfig, seed: int, out_dir: str, replicates: int) -> None:
+    """Run one stage, or for `pipeline` detect -> (complete when requested) -> sample -> surrogate."""
+    stages = [command]
+    if command == "pipeline":
+        complete = ["complete"] if cfg.gamma_sweep or cfg.svt_synthetic else []
+        stages = ["detect", *complete, "sample", "surrogate"]
     base = Path(out_dir)
     for rep in range(replicates):
         out = base if replicates == 1 else base / f"rep{rep}"
         out.mkdir(parents=True, exist_ok=True)
-        if command == "pipeline":
-            files, info = cmd_pipeline(cfg, out, seed, rep)
-        else:
-            stage_files, stage_info, seconds = _run_stage(command, cfg, out, seed, rep)
-            files = stage_files
-            info = {command: dict(stage_info, seconds=seconds)}
+        files, info = {}, {}
+        for name in stages:
+            stage_files, stage_info, seconds = _run_stage(name, cfg, out, seed, rep)
+            files.update(stage_files)
+            info[name] = dict(stage_info, seconds=seconds)
         _write_manifest(out, command, cfg, seed, rep, files, info)
 
 
@@ -505,6 +490,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         cfg.validate()
         seed = args.seed if args.seed is not None else cfg.seed
+        if seed < 0:
+            raise ConfigError("seed must be >= 0")
         out_dir = args.out if args.out is not None else cfg.output_dir
         replicates = args.replicates if args.replicates is not None else cfg.replicates
         if replicates < 1:

@@ -3,7 +3,8 @@
 The iteration alternates a soft-threshold of the dual iterate's singular
 values with a gradient step on the revealed-entry residual, and returns the
 singular factors of the final thresholded iterate directly, so the caller
-never needs the completed matrix itself.
+never needs the completed matrix itself. Each iteration reads its residual
+off the dense iterate, ((U * S) @ Vt)[rows, cols], in that one place.
 """
 
 from __future__ import annotations
@@ -149,8 +150,7 @@ def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> 
         except np.linalg.LinAlgError as exc:
             diverged = f"the SVD failed at iteration {it} ({exc})"
             break
-        X_obs = np.einsum("ij,j,ji->i", U[rows], S, Vt[:, cols]) if S.size else np.zeros(rows.size)
-        resid = X_obs - vals
+        resid = ((U * S) @ Vt)[rows, cols] - vals
         abs_res = float(np.linalg.norm(resid))
         if not np.isfinite(abs_res):
             diverged = f"the residual became non-finite at iteration {it}"
@@ -165,9 +165,8 @@ def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> 
         Y[rows, cols] -= params.delta * resid
 
     U, S, Vt = best
-    # report the residual recomputed from the returned factors, not a stale loop value
-    X_obs = np.einsum("ij,j,ji->i", U[rows], S, Vt[:, cols]) if S.size else np.zeros(rows.size)
-    final_rel = float(np.linalg.norm(X_obs - vals)) / norm_obs
+    # no iterate at all leaves the zero matrix, whose relative residual is 1
+    final_rel = best_rel if np.isfinite(best_rel) else 1.0
     if not converged:
         why = f"diverged ({diverged})" if diverged else f"stopped at max_iter={params.max_iter}"
         warnings.warn(

@@ -77,6 +77,11 @@ class ExperimentConfig:
                 raise ConfigError("a must be 'auto' or a positive integer") from exc
             if a < 1:
                 raise ConfigError("a must be >= 1")
+            if self.svt_synthetic and a > self.svt_rank:
+                raise ConfigError(f"a={a} exceeds svt_rank={self.svt_rank} of the synthetic matrix")
+        for name in ("seed", "quad_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         for g in self.gamma_sweep:
             if not 0.0 < g <= 1.0:
                 raise ConfigError(f"gamma value {g} outside (0, 1]")
@@ -93,6 +98,8 @@ class ExperimentConfig:
             raise ConfigError("svt_eps must be nonnegative")
         if min(self.svt_max_iter, self.svt_rank, self.svt_rows, self.svt_cols) < 1:
             raise ConfigError("svt_max_iter, svt_rank, svt_rows, svt_cols must be >= 1")
+        if self.svt_rank > min(self.svt_rows, self.svt_cols):
+            raise ConfigError("svt_rank must not exceed svt_rows or svt_cols")
         if self.pde_n < 2 or self.pde_d < 1:
             raise ConfigError("pde_n must be >= 2 and pde_d >= 1")
         if self.model == "pde" and self.pde_d > self.pde_n**2:

@@ -293,6 +293,30 @@ class TestMain:
         assert main(["detect", "--config", str(config)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config_text, extra",
+        [
+            ("detect", "seed = -1\n", []),
+            ("detect", "", ["--seed=-1"]),
+            ("detect", "model = quadratic\nquad_seed = -1\n", []),
+            ("complete", "svt_synthetic = true\nsvt_rank = 8\nsvt_rows = 5\nsvt_cols = 40\n", []),
+            (
+                "complete",
+                "svt_synthetic = true\nsvt_rank = 2\nsvt_rows = 20\nsvt_cols = 40\n"
+                "a = 3\ngamma_sweep = 0.9\n",
+                [],
+            ),
+        ],
+        ids=["negative-seed", "negative-seed-flag", "negative-quad-seed",
+             "svt-rank-above-shape", "a-above-svt-rank"],
+    )
+    def test_inconsistent_values_exit_2(self, tmp_path, capsys, command, config_text, extra):
+        config = tmp_path / "run.cfg"
+        config.write_text("k = 10\nn_design = 5\neval_points = 10\n" + config_text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out), *extra]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_inputs_exit_code(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("model = cos2\n")

@@ -251,6 +251,34 @@ class TestSvtComplete:
         assert result.left_vectors.shape == (10, 0) and result.right_vectors.shape == (12, 0)
         assert result.residual == 1.0
 
+    def test_rank_zero_iterate_scores_one_and_carries_on(self, monkeypatch):
+        # the first thresholded iterate is empty: its dense product is the zero
+        # matrix, so its residual is exactly 1, and the next step moves on from it
+        J = low_rank_matrix(30, 50, [300.0, 200.0], seed=72)
+        observed = reveal_uniform(J, 0.6, make_rng(73))
+        shrink, calls = completion._shrink, []
+
+        def empty_first_call(Y, tau):
+            calls.append(1)
+            U, S, Vt = shrink(Y, tau)
+            if len(calls) == 1:
+                return U[:, :0], S[:0], Vt[:0]
+            return U, S, Vt
+
+        monkeypatch.setattr(completion, "_shrink", empty_first_call)
+        with pytest.warns(RuntimeWarning, match="max_iter"):
+            first = svt_complete(observed, SvtParams(max_iter=1))
+        assert first.rank == 0 and first.residual == 1.0 and first.iterations == 1
+
+        calls.clear()
+        result = svt_complete(observed, SvtParams(max_iter=5000))
+        assert result.converged and result.iterations > 1 and result.rank > 0
+        X = (result.left_vectors * result.singular_values) @ result.right_vectors.T
+        recomputed = np.linalg.norm(
+            X[observed.rows, observed.cols] - observed.values
+        ) / np.linalg.norm(observed.values)
+        assert abs(result.residual - recomputed) <= 1e-12
+
     def test_rejects_empty_observation(self):
         with pytest.warns(RuntimeWarning, match="no revealed entry"):
             observed = RevealedEntries.from_triples((3, 3), [])
