@@ -151,7 +151,9 @@ def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> 
             diverged = f"the SVD failed at iteration {it} ({exc})"
             break
         resid = ((U * S) @ Vt)[rows, cols] - vals
-        abs_res = float(np.linalg.norm(resid))
+        # a finite residual can overflow its norm; the non-finite check below reports that
+        with np.errstate(over="ignore"):
+            abs_res = float(np.linalg.norm(resid))
         if not np.isfinite(abs_res):
             diverged = f"the residual became non-finite at iteration {it}"
             break

@@ -1,18 +1,24 @@
 """Reduced input domain: bounding box, membership tests, lifting, and sampling.
 
 The reduced domain is the image of the full box under projection onto the
-retained basis. It is convex but not a box, so sampling draws uniformly from
-an enclosing box and keeps a point t when one routine, `_classify`, finds a
+retained basis: the zonotope Z = V_a^T box, whose generators are the rows of
+V_a. It is convex but not a box, so sampling draws uniformly from an
+enclosing box and keeps a point t when one routine, `_classify`, finds a
 full-space point over it: first the back-projection V_a t if it lies in the
-box, otherwise the solution x of a small equality-constrained feasibility LP,
-lifted to V_a t + V_b V_b^T x. `membership`, `lift` and both samplers all
-decide through that routine.
+box; otherwise, unless a facet cut of Z proves t outside, the solution x of a
+small equality-constrained feasibility LP, lifted to V_a t + V_b V_b^T x.
+`membership`, `lift` and both samplers all decide through that routine.
+Z's facets lie on the hyperplanes spanned by a-1 generators (Ziegler,
+Lectures on Polytopes, 7.3), so the cuts from every (a-1)-subset of them are
+Z's H-representation; at most _MAX_CUTS are kept, from the longest rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -35,6 +41,7 @@ __all__ = [
 
 _BOX_TOL = 1e-9
 _PROJ_TOL = 1e-8
+_MAX_CUTS = 250
 
 
 class MembershipKind(Enum):
@@ -53,6 +60,8 @@ class ReducedDomain:
     subspace: ActiveSubspace
     full_domain: Hyperrectangle
     bounding_box: Hyperrectangle  # encloses the projection of the full domain
+    cut_normals: np.ndarray  # (m, a) unit facet normals of the projection
+    cut_limits: np.ndarray  # (m,) |u . t| above this proves t outside
 
     @property
     def reduced_dimension(self) -> int:
@@ -86,6 +95,7 @@ class SamplerStats:
     accepted: int
     rejected: int
     lp_calls: int
+    prefilter_rejects: int
     acceptance_rate: float
 
     def as_dict(self) -> dict:
@@ -109,7 +119,39 @@ def build_reduced_domain(
     for i in range(subspace.retained):
         value, _ = minimize_linear_over_box(subspace.basis_a[:, i], full_domain)
         lows[i] = value
-    return ReducedDomain(subspace, full_domain, Hyperrectangle(lows, -lows))
+    normals, limits = _facet_cuts(subspace.basis_a, full_domain.upper)
+    return ReducedDomain(subspace, full_domain, Hyperrectangle(lows, -lows), normals, limits)
+
+
+def _facet_cuts(Va: np.ndarray, half_widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals of the hyperplanes spanned by a-1 of the q longest rows of V_a, with limits.
+
+    q is the largest count whose (a-1)-subsets number at most _MAX_CUTS.
+    With a = 1 the bounding box is exact: no cuts.
+    """
+    d, a = Va.shape
+    if a == 1:
+        return np.empty((0, 1)), np.empty(0)
+    q = a - 1
+    while q < d and comb(q + 1, a - 1) <= _MAX_CUTS:
+        q += 1
+    rows = np.argsort(-np.linalg.norm(Va, axis=1), kind="stable")[:q]
+    subsets = np.array(list(combinations(rows, a - 1)))
+    # the last right singular vector of each (a-1) x a block spans its null space
+    normals = np.linalg.svd(Va[subsets])[2][:, -1, :]
+    coeffs = np.abs(Va @ normals.T)  # |(V_a u)_i|, one column per cut
+    support = half_widths @ coeffs
+    # with orthonormal V_a an accepted t is V_a^T s for some s within
+    # _BOX_TOL of the box, so |u . t| <= h(u) + _BOX_TOL ||V_a u||_1; the
+    # limit doubles that slack and adds a roundoff term. It holds for any u,
+    # however accurate, because h is computed for the same u.
+    limits = support * (1.0 + 1e-12) + 2.0 * _BOX_TOL * coeffs.sum(axis=0)
+    return normals, limits
+
+
+def _outside_cuts(domain: ReducedDomain, t: np.ndarray) -> bool:
+    """True when a facet cut proves t outside the projection of the full domain."""
+    return bool(np.any(np.abs(domain.cut_normals @ t) > domain.cut_limits))
 
 
 def _feasibility_lp(domain: ReducedDomain, t: np.ndarray) -> LinearProgram:
@@ -122,15 +164,19 @@ def _feasibility_lp(domain: ReducedDomain, t: np.ndarray) -> LinearProgram:
     )
 
 
-def _classify(domain: ReducedDomain, t: np.ndarray) -> tuple[MembershipKind, np.ndarray | None]:
-    """Decide a reduced point and lift it: (kind, full-space point over t, or None if outside)."""
+def _classify(
+    domain: ReducedDomain, t: np.ndarray
+) -> tuple[MembershipKind, np.ndarray | None, bool]:
+    """Decide a reduced point and lift it: (kind, full-space point or None, whether the LP ran)."""
     Va = domain.subspace.basis_a
     s = Va @ t
     if domain.full_domain.contains(s, tol=_BOX_TOL):
-        return MembershipKind.DIRECTLY_INSIDE, s
+        return MembershipKind.DIRECTLY_INSIDE, s, False
+    if _outside_cuts(domain, t):
+        return MembershipKind.OUTSIDE, None, False
     sol = lp_solve(_feasibility_lp(domain, t))
     if sol.status is LpStatus.INFEASIBLE:
-        return MembershipKind.OUTSIDE, None
+        return MembershipKind.OUTSIDE, None, True
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError("feasibility LP reported unbounded on a compact box")
     Vb = domain.subspace.basis_b
@@ -140,7 +186,7 @@ def _classify(domain: ReducedDomain, t: np.ndarray) -> tuple[MembershipKind, np.
         raise RuntimeError("lifted point lost projection consistency")
     if not domain.full_domain.contains(s, tol=_BOX_TOL):
         raise RuntimeError("lifted point left the full domain")
-    return MembershipKind.LIFTABLE_INSIDE, s
+    return MembershipKind.LIFTABLE_INSIDE, s, True
 
 
 def _checked_point(domain: ReducedDomain, t) -> np.ndarray:
@@ -154,13 +200,13 @@ def _checked_point(domain: ReducedDomain, t) -> np.ndarray:
 
 def membership(domain: ReducedDomain, t) -> Membership:
     """Classify a reduced point: directly inside, inside after lifting, or outside."""
-    kind, _ = _classify(domain, _checked_point(domain, t))
+    kind, _, _ = _classify(domain, _checked_point(domain, t))
     return Membership(kind)
 
 
 def lift(domain: ReducedDomain, t) -> np.ndarray:
     """Full-space point over t: the back-projection, walked into the domain if needed."""
-    kind, s = _classify(domain, _checked_point(domain, t))
+    kind, s, _ = _classify(domain, _checked_point(domain, t))
     if kind is MembershipKind.OUTSIDE:
         raise ValueError("cannot lift a point outside the reduced domain")
     return s
@@ -174,12 +220,13 @@ def _sample(domain: ReducedDomain, n: int, rng: np.random.Generator):
     lifted: list[np.ndarray] = []
     draws = 0
     lp_calls = 0
+    prefilter_rejects = 0
     while len(accepted) < n:
         t = rng.uniform(bb.lower, bb.upper)
         draws += 1
-        kind, s = _classify(domain, t)
-        if kind is not MembershipKind.DIRECTLY_INSIDE:
-            lp_calls += 1
+        kind, s, lp_ran = _classify(domain, t)
+        lp_calls += lp_ran
+        prefilter_rejects += kind is MembershipKind.OUTSIDE and not lp_ran
         if s is not None:
             accepted.append(t)
             lifted.append(s)
@@ -193,6 +240,7 @@ def _sample(domain: ReducedDomain, n: int, rng: np.random.Generator):
         accepted=n,
         rejected=draws - n,
         lp_calls=lp_calls,
+        prefilter_rejects=prefilter_rejects,
         acceptance_rate=n / draws,
     )
     return ReducedDesign(np.array(accepted), np.array(lifted)), stats
@@ -203,8 +251,8 @@ def sample_reduced(
 ) -> tuple[np.ndarray, SamplerStats]:
     """Accept/reject n reduced points drawn uniformly from the enclosing box.
 
-    The cheap box test on the back-projection runs before any LP; the LP only
-    decides the points whose back-projection misses the full domain.
+    The cheap box test on the back-projection and then the facet cuts run
+    before any LP; the LP only decides the points that both leave open.
     """
     design, stats = _sample(domain, n, rng)
     return design.reduced_points, stats

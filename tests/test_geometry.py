@@ -1,7 +1,12 @@
 """Tests for the reduced domain, lifting, and the acceptance/rejection sampler."""
 
+import dataclasses
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradspace.core import (
     ActiveSubspace,
@@ -20,6 +25,7 @@ from gradspace.geometry import (
     sample_reduced,
 )
 from gradspace.lp import LpSolution, LpStatus
+from gradspace.lp import solve as lp_solve
 from gradspace.util import make_rng
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -287,14 +293,16 @@ class TestEntryPointsAgree:
     def test_lp_calls_count_draws_leaving_the_box(self, sampled):
         rd, _, stats = sampled
         # replay the sampler's random stream and count the back-projections
-        # that miss the full domain: exactly those draws go to the LP
+        # that miss the full domain: exactly those draws go to a facet cut
+        # or, when no cut rejects them, to the LP
         rng = make_rng(62)
         bb = rd.bounding_box
         draws = [rng.uniform(bb.lower, bb.upper) for _ in range(stats.draws)]
         missed = sum(
             not rd.full_domain.contains(rd.subspace.basis_a @ t, tol=1e-9) for t in draws
         )
-        assert stats.lp_calls == missed
+        assert stats.lp_calls + stats.prefilter_rejects == missed
+        assert stats.prefilter_rejects > 0
         assert stats.rejected > 0
 
 
@@ -321,10 +329,98 @@ class TestClassifierGuards:
     @pytest.mark.parametrize("entry", ["lift", "build_reduced_design"])
     def test_raises(self, domain, monkeypatch, fake_lp, message, entry):
         monkeypatch.setattr(geometry, "lp_solve", getattr(self, fake_lp))
-        t = 0.99 * domain.bounding_box.upper
-        assert not domain.full_domain.contains(domain.subspace.basis_a @ t, tol=1e-9)
+        # a liftable point, so no facet cut keeps it from the LP: the image of
+        # a full-domain point whose back-projection leaves the domain
+        Va = domain.subspace.basis_a
+        s = 0.9 * np.sign(Va[:, 0])
+        t = Va.T @ s
+        assert domain.full_domain.contains(s)
+        assert not domain.full_domain.contains(Va @ t, tol=1e-9)
         with pytest.raises(RuntimeError, match=message):
             if entry == "lift":
                 lift(domain, t)
             else:
                 build_reduced_design(domain, 60, make_rng(62))
+
+
+class TestFacetCuts:
+    """The zonotope facet cuts reject only draws that the LP rejects too."""
+
+    @staticmethod
+    def _domain(d, a, seed):
+        return build_reduced_domain(random_subspace(d, a, seed), Hyperrectangle.cube(d, 1.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(3, 12), seed=st.integers(0, 2**16), data=st.data())
+    def test_cuts_change_no_decision(self, d, seed, data):
+        a = data.draw(st.integers(2, min(4, d)), label="a")
+        rd = self._domain(d, a, seed)
+        bare = dataclasses.replace(rd, cut_normals=np.empty((0, a)), cut_limits=np.empty(0))
+        bb = rd.bounding_box
+        unit = st.floats(0.0, 1.0)
+        for _ in range(8):
+            frac = np.array(data.draw(st.lists(unit, min_size=a, max_size=a)))
+            t = bb.lower + frac * (bb.upper - bb.lower)
+            kind, s, _ = geometry._classify(rd, t)
+            kind_bare, s_bare, _ = geometry._classify(bare, t)
+            assert kind is kind_bare
+            if s is None:
+                assert s_bare is None
+            else:
+                np.testing.assert_array_equal(s, s_bare)
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(3, 12), seed=st.integers(0, 2**16), data=st.data())
+    def test_sampler_counts_the_lps_it_makes(self, d, seed, data):
+        a = data.draw(st.integers(2, min(4, d)), label="a")
+        rd = self._domain(d, a, seed)
+        statuses = []
+
+        def counting(lp):
+            sol = lp_solve(lp)
+            statuses.append(sol.status)
+            return sol
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "lp_solve", counting)
+            _, stats = build_reduced_design(rd, 20, make_rng(seed))
+        assert stats.lp_calls == len(statuses)
+        if comb(d, a - 1) <= geometry._MAX_CUTS:
+            # the cuts are the whole H-representation: only liftable draws reach the LP
+            assert all(status is LpStatus.OPTIMAL for status in statuses)
+
+    @pytest.mark.parametrize(
+        "d, a, cuts",
+        # all C(d, a-1) subsets while there are at most 250 of them; at a = 5
+        # the 10 longest generators, as C(10, 4) = 210 <= 250 < C(11, 4);
+        # none at a = 1, where the bounding box is the exact projection
+        [(10, 2, 10), (250, 2, 250), (300, 2, 250), (12, 4, 220), (50, 5, 210), (6, 1, 0)],
+    )
+    def test_cut_count(self, d, a, cuts):
+        rd = self._domain(d, a, seed=63)
+        assert rd.cut_normals.shape == (cuts, a)
+        assert rd.cut_limits.shape == (cuts,)
+        np.testing.assert_allclose(np.linalg.norm(rd.cut_normals, axis=1), 1.0)
+
+    DELTAS = (-1e-8, -1e-10, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7)
+
+    def test_probes_around_facet_centres(self):
+        d, a = 50, 5
+        rd = build_reduced_domain(random_subspace(d, a, seed=63), Hyperrectangle.cube(d, 2.0))
+        Va = rd.subspace.basis_a
+        picks = make_rng(64).choice(len(rd.cut_normals), 20, replace=False)
+        for u in rd.cut_normals[picks]:
+            # the centre of the facet with outer normal u: every generator off
+            # the facet's hyperplane at the bound that maximizes u . t, and the
+            # a - 1 generators spanning it at zero
+            g = Va @ u
+            s_star = 2.0 * np.sign(g)
+            s_star[np.argsort(np.abs(g))[: a - 1]] = 0.0
+            t0 = Va.T @ s_star
+            for delta in self.DELTAS:
+                t = t0 + delta * u
+                if not geometry._outside_cuts(rd, t):
+                    assert delta < 1e-7  # the cut's slack stays below 1e-7
+                    continue
+                assert delta > 0
+                assert lp_solve(geometry._feasibility_lp(rd, t)).status is LpStatus.INFEASIBLE
