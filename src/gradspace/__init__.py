@@ -23,7 +23,6 @@ from .geometry import (
     build_reduced_domain,
     lift,
     membership,
-    sample_reduced,
 )
 from .lp import LinearProgram, LpSolution, LpStatus, minimize_linear_over_box, solve
 from .surrogate import RbfConfig, RbfSurrogate, evaluate, fit, predict
@@ -60,7 +59,6 @@ __all__ = [
     "predict",
     "reveal_uniform",
     "rms_directional_variation",
-    "sample_reduced",
     "solve",
     "subspace_distance",
     "suggest_truncation",

@@ -19,6 +19,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -408,12 +409,19 @@ _STAGES = {
 def _run_stage(name, cfg, out, seed, rep):
     start = time.perf_counter()
     try:
-        files, info = _STAGES[name](cfg, out, seed, rep)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                files, info = _STAGES[name](cfg, out, seed, rep)
+        finally:
+            for w in caught:  # outside the recording context, so the caller's filters apply
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     except ConfigError:
         raise
     except Exception as exc:
         raise RuntimeError(f"[{name}] {exc}") from exc
-    return files, info, time.perf_counter() - start
+    stage_warnings = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return files, dict(info, seconds=time.perf_counter() - start, warnings=stage_warnings)
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -466,9 +474,8 @@ def run_command(command: str, cfg: ExperimentConfig, seed: int, out_dir: str, re
         out.mkdir(parents=True, exist_ok=True)
         files, info = {}, {}
         for name in stages:
-            stage_files, stage_info, seconds = _run_stage(name, cfg, out, seed, rep)
+            stage_files, info[name] = _run_stage(name, cfg, out, seed, rep)
             files.update(stage_files)
-            info[name] = dict(stage_info, seconds=seconds)
         _write_manifest(out, command, cfg, seed, rep, files, info)
 
 

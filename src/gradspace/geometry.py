@@ -5,9 +5,9 @@ retained basis: the zonotope Z = V_a^T box, whose generators are the rows of
 V_a. It is convex but not a box, so sampling draws uniformly from an
 enclosing box and keeps a point t when one routine, `_classify`, finds a
 full-space point over it: first the back-projection V_a t if it lies in the
-box; otherwise, unless a facet cut of Z proves t outside, the solution x of a
-small equality-constrained feasibility LP, lifted to V_a t + V_b V_b^T x.
-`membership`, `lift` and both samplers all decide through that routine.
+box; otherwise, unless a facet cut of Z proves t outside, the point that
+`lp.solve` returns for a small equality-constrained feasibility LP.
+`membership`, `lift` and the sampler all decide through that routine.
 Z's facets lie on the hyperplanes spanned by a-1 generators (Ziegler,
 Lectures on Polytopes, 7.3), so the cuts from every (a-1)-subset of them are
 Z's H-representation; at most _MAX_CUTS are kept, from the longest rows.
@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .core import ActiveSubspace, Hyperrectangle
-from .lp import LinearProgram, LpStatus, minimize_linear_over_box
+from .lp import LinearProgram, LpStatus
 from .lp import solve as lp_solve
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "build_reduced_domain",
     "membership",
     "lift",
-    "sample_reduced",
     "build_reduced_design",
 ]
 
@@ -105,22 +104,19 @@ class SamplerStats:
 def build_reduced_domain(
     subspace: ActiveSubspace, full_domain: Hyperrectangle
 ) -> ReducedDomain:
-    """Enclosing box of the projected domain from one linear minimization per direction.
+    """Enclosing box of the projected domain from Z's support function on the axes.
 
-    The full domain must be centered at the origin: the upper bound of each
-    interval is the negated minimum, which is only the maximum under symmetry.
+    The full domain must be centered at the origin, where t_i spans exactly
+    [-h(e_i), h(e_i)] with h(e_i) = sum_j w_j |(V_a)_ji| for half-widths w.
     Callers with shifted boxes must recenter their coordinates first.
     """
     if subspace.dimension != full_domain.dimension:
         raise ValueError("subspace and domain dimensions differ")
     if not full_domain.is_origin_centered(tol=_BOX_TOL):
         raise ValueError("full domain must be centered at the origin")
-    lows = np.empty(subspace.retained)
-    for i in range(subspace.retained):
-        value, _ = minimize_linear_over_box(subspace.basis_a[:, i], full_domain)
-        lows[i] = value
+    highs = full_domain.upper @ np.abs(subspace.basis_a)
     normals, limits = _facet_cuts(subspace.basis_a, full_domain.upper)
-    return ReducedDomain(subspace, full_domain, Hyperrectangle(lows, -lows), normals, limits)
+    return ReducedDomain(subspace, full_domain, Hyperrectangle(-highs, highs), normals, limits)
 
 
 def _facet_cuts(Va: np.ndarray, half_widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,13 +175,11 @@ def _classify(
         return MembershipKind.OUTSIDE, None, True
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError("feasibility LP reported unbounded on a compact box")
-    Vb = domain.subspace.basis_b
-    s = s + Vb @ (Vb.T @ sol.point)
-    # holds for any LP point when V_a^T V_b = 0; it catches a basis that is not orthogonal
-    if np.max(np.abs(Va.T @ s - t)) > _PROJ_TOL:
-        raise RuntimeError("lifted point lost projection consistency")
+    s = sol.point
     if not domain.full_domain.contains(s, tol=_BOX_TOL):
         raise RuntimeError("lifted point left the full domain")
+    if np.max(np.abs(Va.T @ s - t)) > _PROJ_TOL:
+        raise RuntimeError("lifted point lost projection consistency")
     return MembershipKind.LIFTABLE_INSIDE, s, True
 
 
@@ -205,14 +199,21 @@ def membership(domain: ReducedDomain, t) -> Membership:
 
 
 def lift(domain: ReducedDomain, t) -> np.ndarray:
-    """Full-space point over t: the back-projection, walked into the domain if needed."""
+    """Full-space point over t: the back-projection if it lies in the domain, else the LP's."""
     kind, s, _ = _classify(domain, _checked_point(domain, t))
     if kind is MembershipKind.OUTSIDE:
         raise ValueError("cannot lift a point outside the reduced domain")
     return s
 
 
-def _sample(domain: ReducedDomain, n: int, rng: np.random.Generator):
+def build_reduced_design(
+    domain: ReducedDomain, n: int, rng: np.random.Generator
+) -> tuple[ReducedDesign, SamplerStats]:
+    """Accept/reject n reduced points drawn uniformly from the enclosing box, and lift each one.
+
+    The cheap box test on the back-projection and then the facet cuts run
+    before any LP; the LP only decides the points that both leave open.
+    """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     bb = domain.bounding_box
@@ -245,21 +246,3 @@ def _sample(domain: ReducedDomain, n: int, rng: np.random.Generator):
     )
     return ReducedDesign(np.array(accepted), np.array(lifted)), stats
 
-
-def sample_reduced(
-    domain: ReducedDomain, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, SamplerStats]:
-    """Accept/reject n reduced points drawn uniformly from the enclosing box.
-
-    The cheap box test on the back-projection and then the facet cuts run
-    before any LP; the LP only decides the points that both leave open.
-    """
-    design, stats = _sample(domain, n, rng)
-    return design.reduced_points, stats
-
-
-def build_reduced_design(
-    domain: ReducedDomain, n: int, rng: np.random.Generator
-) -> tuple[ReducedDesign, SamplerStats]:
-    """Sample n reduced points and lift each one, reusing the acceptance LP solution."""
-    return _sample(domain, n, rng)

@@ -4,9 +4,9 @@ Without equality rows the minimizer is closed-form (each coordinate at a
 bound). With them the program goes to scipy's HiGHS, the dual revised
 simplex of Huangfu & Hall, with its primal feasibility tolerance pinned to
 FEAS_TOL so points just outside the feasible set are reported infeasible
-rather than returned with a residual too large to accept. The returned
-point is a vertex of the feasible set, clipped onto the box and checked
-against the equality rows before it is handed back.
+rather than returned with a residual too large to accept. The vertex is
+clipped to the box, stepped onto the rows by least norm on its interior
+coordinates, and clipped again, which binds only if no exact point exists.
 """
 
 from __future__ import annotations
@@ -119,6 +119,9 @@ def solve(lp: LinearProgram) -> LpSolution:
         raise RuntimeError(f"HiGHS failed on the LP (status {res.status}: {res.message})")
 
     point = np.clip(res.x, box.lower, box.upper)
+    free = (point > box.lower) & (point < box.upper)
+    step = np.linalg.lstsq(A[:, free], r - A @ point, rcond=None)[0]
+    point[free] = np.clip(point[free] + step, box.lower[free], box.upper[free])
     resid = np.max(np.abs(A @ point - r))
     if resid > 1e-8 * (1.0 + np.linalg.norm(r)):
         raise RuntimeError(f"HiGHS returned an inaccurate point (residual {resid:.3e})")

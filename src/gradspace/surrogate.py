@@ -143,13 +143,7 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
         poly_coeffs=beta,
         shape=float(sigma),
         regularization=float(eta),
-        metadata={
-            "kernel": "gaussian",
-            "smoothing": config.smoothing,
-            # training bounding box: queries outside it are extrapolation
-            "train_min": points.min(axis=0).tolist(),
-            "train_max": points.max(axis=0).tolist(),
-        },
+        metadata={"kernel": "gaussian", "smoothing": config.smoothing},
     )
 
 

@@ -1,8 +1,10 @@
-"""The benchmark's tracing hooks still find every name they wrap.
+"""The benchmark still measures and accepts the program.
 
 `perfbench/traced.py` replaces module attributes of the program from outside;
-a renamed attribute only shows up there as an unmeasured layer. This test
-installs the hooks and fails on any name they could not find.
+a renamed attribute only shows up there as an unmeasured layer. One test
+installs the hooks and fails on any name they could not find. The other runs
+each benchmark workload's config and applies the benchmark's own output
+checks, so a change the benchmark would refuse fails here first.
 """
 
 import importlib.util
@@ -12,12 +14,12 @@ import pytest
 
 from gradspace import cli, completion, geometry, surrogate
 
-TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = (cli, completion, geometry, surrogate)
 
 
-def _load_traced():
-    spec = importlib.util.spec_from_file_location("traced", TRACED)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -40,9 +42,23 @@ def test_install_finds_every_hook():
         for stage, fn in list(cli._STAGES.items()):
             mp.setitem(cli._STAGES, stage, fn)
 
-        traced = _load_traced()
+        traced = _load("traced")
         tracer = traced.Tracer("t")
         traced.install(tracer)
         assert tracer.missing == []
         assert geometry.lp_solve is not original_lp_solve  # the hooks did replace names
     assert _snapshot() == before
+
+
+@pytest.mark.parametrize("seed", [5000, 5001])
+@pytest.mark.parametrize("workload", ["pde-c10", "svt-sweep"])
+def test_workload_passes_benchmark_checks(tmp_path, workload, seed):
+    run = _load("run")
+    spec = run.load_json(PERFBENCH / "spec.json")
+    config = tmp_path / "run.cfg"
+    run.write_config(config, spec["workloads"][workload]["config"])
+    out = tmp_path / "out"
+    code = cli.main(["pipeline", "--config", str(config), "--seed", str(seed), "--out", str(out)])
+    assert code == 0
+    result = run.check_outputs(out, spec["workloads"][workload], spec["checks"], strict=True)
+    assert result["failures"] == []

@@ -22,7 +22,6 @@ from gradspace.geometry import (
     build_reduced_domain,
     lift,
     membership,
-    sample_reduced,
 )
 from gradspace.lp import LpSolution, LpStatus
 from gradspace.lp import solve as lp_solve
@@ -180,10 +179,10 @@ class TestSampleReduced:
         box = Hyperrectangle.cube(d, 1.0)
         sub = ActiveSubspace(np.eye(d), np.empty((d, 0)), np.ones(d))
         rd = build_reduced_domain(sub, box)
-        accepted, stats = sample_reduced(rd, 200, make_rng(45))
+        design, stats = build_reduced_design(rd, 200, make_rng(45))
         assert stats.acceptance_rate == 1.0
         assert stats.lp_calls == 0
-        assert accepted.shape == (200, d)
+        assert design.reduced_points.shape == (200, d)
 
     def test_diagonal_projection_is_onto(self):
         # the projection of the square onto its diagonal covers the whole
@@ -194,7 +193,7 @@ class TestSampleReduced:
         for t_val in np.linspace(rd.bounding_box.lower[0], rd.bounding_box.upper[0], 101):
             m = membership(rd, np.array([t_val]) * (1 - 1e-12))
             assert m.kind is not MembershipKind.OUTSIDE
-        accepted, stats = sample_reduced(rd, 300, make_rng(46))
+        _, stats = build_reduced_design(rd, 300, make_rng(46))
         assert stats.acceptance_rate == 1.0
         assert stats.draws == 300
 
@@ -202,11 +201,11 @@ class TestSampleReduced:
         sub = random_subspace(12, 3, seed=47)
         box = Hyperrectangle.cube(12, 1.0)
         rd = build_reduced_domain(sub, box)
-        accepted, stats = sample_reduced(rd, 100, make_rng(48))
+        design, stats = build_reduced_design(rd, 100, make_rng(48))
         assert stats.draws == stats.accepted + stats.rejected
         assert stats.lp_calls <= stats.draws
         assert 0.0 < stats.acceptance_rate <= 1.0
-        assert accepted.shape == (100, 3)
+        assert design.reduced_points.shape == (100, 3)
 
     def test_all_accepted_satisfy_lift_invariants(self):
         sub = random_subspace(10, 2, seed=49)
@@ -222,7 +221,7 @@ class TestSampleReduced:
         sub = random_subspace(9, 3, seed=51)
         box = Hyperrectangle.cube(9, 1.0)
         rd = build_reduced_domain(sub, box)
-        accepted, _ = sample_reduced(rd, 60, make_rng(52))
+        accepted = build_reduced_design(rd, 60, make_rng(52))[0].reduced_points
         rng = make_rng(53)
         for _ in range(100):
             i, j = rng.integers(0, len(accepted), 2)
@@ -233,26 +232,15 @@ class TestSampleReduced:
         sub = random_subspace(7, 2, seed=54)
         box = Hyperrectangle.cube(7, 1.0)
         rd = build_reduced_domain(sub, box)
-        a1, s1 = sample_reduced(rd, 80, make_rng(55))
-        a2, s2 = sample_reduced(rd, 80, make_rng(55))
-        np.testing.assert_array_equal(a1, a2)
+        d1, s1 = build_reduced_design(rd, 80, make_rng(55))
+        d2, s2 = build_reduced_design(rd, 80, make_rng(55))
+        np.testing.assert_array_equal(d1.reduced_points, d2.reduced_points)
         assert s1 == s2
-
-    def test_design_matches_sampler_stream(self):
-        # the design builder consumes the identical random stream, so its
-        # accepted points and statistics agree with the plain sampler
-        sub = random_subspace(8, 2, seed=56)
-        box = Hyperrectangle.cube(8, 1.0)
-        rd = build_reduced_domain(sub, box)
-        accepted, stats = sample_reduced(rd, 40, make_rng(57))
-        design, stats2 = build_reduced_design(rd, 40, make_rng(57))
-        np.testing.assert_array_equal(accepted, design.reduced_points)
-        assert stats == stats2
 
     def test_rejects_zero_count(self):
         rd = build_reduced_domain(diag_subspace(), Hyperrectangle.cube(2, np.pi))
         with pytest.raises(ValueError):
-            sample_reduced(rd, 0, make_rng(58))
+            build_reduced_design(rd, 0, make_rng(58))
 
     def test_high_dimensional_box_feasible(self):
         # the machinery stays practical at a few hundred dimensions
@@ -265,7 +253,7 @@ class TestSampleReduced:
 
 
 class TestEntryPointsAgree:
-    """`membership`, `lift` and the samplers decide every reduced point the same way."""
+    """`membership`, `lift` and the sampler decide every reduced point the same way."""
 
     @pytest.fixture
     def sampled(self):

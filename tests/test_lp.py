@@ -10,7 +10,11 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradspace.cli import cmd_detect, read_subspace
+from gradspace.config import ExperimentConfig
 from gradspace.core import Hyperrectangle
 from gradspace.lp import (
     LinearProgram,
@@ -209,6 +213,50 @@ class TestSolve:
             LinearProgram(np.zeros(2), box, np.zeros((1, 2)), None)
         with pytest.raises(ValueError):
             LinearProgram(np.zeros(2), box, np.zeros((3, 2)), np.zeros(3))
+
+
+class TestPolishedPoint:
+    """Every OPTIMAL point lies in the box and meets the equality rows to roundoff."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        a=st.integers(1, 2),
+        feasible=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_programs_against_enumeration(self, d, a, feasible, seed):
+        # the boxes, rows, right-hand sides and objectives of acceptance c11
+        rng = make_rng(seed)
+        box = Hyperrectangle(-rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, d))
+        A = rng.standard_normal((a, d))
+        r = A @ box.sample(rng, 1)[0] if feasible else rng.uniform(-4.0, 4.0, a)
+        c = rng.standard_normal(d)
+        status, value = brute_force(c, A, r, box)
+        sol = solve(LinearProgram(c, box, A, r))
+        assert sol.status is status
+        if status is LpStatus.OPTIMAL:
+            assert sol.objective_value == pytest.approx(value, abs=1e-8)
+            assert box.contains(sol.point, tol=0.0)
+            inside = np.sum((sol.point > box.lower) & (sol.point < box.upper))
+            if inside >= a:
+                resid = np.max(np.abs(A @ sol.point - r))
+                assert resid <= 1e-12 * (1.0 + np.linalg.norm(r))
+
+    def test_paper_dimension_subspace(self, tmp_path):
+        # the detected subspace of the 250-parameter elliptic model, where
+        # HiGHS's own vertices miss the rows by up to 1e-8
+        cfg = ExperimentConfig(model="pde", pde_n=33, pde_d=250, k=100, a="5")
+        cmd_detect(cfg, tmp_path, seed=2026)
+        Va = read_subspace(tmp_path / "subspace.bin")[0].basis_a
+        box = Hyperrectangle.cube(250, 2.0)
+        for s in box.sample(make_rng(36), 40):
+            t = Va.T @ s  # liftable: s itself lies over t
+            sol = solve(LinearProgram(np.zeros(250), box, Va.T, t))
+            assert sol.status is LpStatus.OPTIMAL
+            assert box.contains(sol.point, tol=0.0)
+            resid = np.max(np.abs(Va.T @ sol.point - t))
+            assert resid <= 1e-12 * (1.0 + np.linalg.norm(t))
 
 
 class TestNearBoundary:
