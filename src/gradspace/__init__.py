@@ -24,7 +24,7 @@ from .geometry import (
     lift,
     membership,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, minimize_linear_over_box, solve
+from .lp import LinearProgram, LpSolution, LpStatus, solve
 from .surrogate import RbfConfig, RbfSurrogate, evaluate, fit, predict
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "fit",
     "lift",
     "membership",
-    "minimize_linear_over_box",
     "predict",
     "reveal_uniform",
     "rms_directional_variation",

@@ -107,6 +107,8 @@ class ExperimentConfig:
         for name in ("pde_rho1", "pde_rho2", "pde_half_width", "ridge_half_width", "quad_half_width"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.model == "ridge" and not any(self.ridge_direction):
+            raise ConfigError("ridge_direction must be a nonzero vector")
         if self.quad_dim < 1:
             raise ConfigError("quad_dim must be >= 1")
         if self.rbf_shape < 0:

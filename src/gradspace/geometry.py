@@ -173,8 +173,6 @@ def _classify(
     sol = lp_solve(_feasibility_lp(domain, t))
     if sol.status is LpStatus.INFEASIBLE:
         return MembershipKind.OUTSIDE, None, True
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError("feasibility LP reported unbounded on a compact box")
     s = sol.point
     if not domain.full_domain.contains(s, tol=_BOX_TOL):
         raise RuntimeError("lifted point left the full domain")

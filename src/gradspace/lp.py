@@ -1,12 +1,11 @@
 """Linear programming over box bounds with optional equality rows.
 
-Without equality rows the minimizer is closed-form (each coordinate at a
-bound). With them the program goes to scipy's HiGHS, the dual revised
-simplex of Huangfu & Hall, with its primal feasibility tolerance pinned to
-FEAS_TOL so points just outside the feasible set are reported infeasible
-rather than returned with a residual too large to accept. The vertex is
-clipped to the box, stepped onto the rows by least norm on its interior
-coordinates, and clipped again, which binds only if no exact point exists.
+Every program goes to scipy's HiGHS, the dual revised simplex of Huangfu &
+Hall, with its primal feasibility tolerance pinned to FEAS_TOL so points
+just outside the feasible set are reported infeasible rather than returned
+with a residual too large to accept. The vertex is clipped to the box,
+stepped onto the rows by least norm on its interior coordinates, and
+clipped again, which binds only if no exact point exists.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .core import Hyperrectangle
 
-__all__ = ["LinearProgram", "LpSolution", "LpStatus", "solve", "minimize_linear_over_box"]
+__all__ = ["LinearProgram", "LpSolution", "LpStatus", "solve"]
 
 FEAS_TOL = 1e-9
 
@@ -26,7 +25,6 @@ FEAS_TOL = 1e-9
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,9 @@ class LinearProgram:
                 raise ValueError("eq_rhs length must match eq_matrix rows")
             if A.shape[0] > A.shape[1]:
                 raise ValueError("more equality rows than variables")
-            object.__setattr__(self, "eq_matrix", A)
+            # C order: HiGHS and lstsq give last-bit different points for a
+            # transposed view such as V_a^T
+            object.__setattr__(self, "eq_matrix", np.ascontiguousarray(A))
             object.__setattr__(self, "eq_rhs", r)
 
 
@@ -69,36 +69,12 @@ class LpSolution:
     objective_value: float | None = None
 
 
-def minimize_linear_over_box(c, box: Hyperrectangle) -> tuple[float, np.ndarray]:
-    """Closed-form minimizer of c^T s over a box: each coordinate sits at a bound.
-
-    Zero coefficients tie toward the lower bound so the result is deterministic.
-    """
-    c = np.asarray(c, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("objective contains non-finite entries")
-    if c.shape != (box.dimension,):
-        raise ValueError("objective length must match the box dimension")
-    point = np.where(c < 0.0, box.upper, box.lower)
-    return float(c @ point), point
-
-
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve the program; deterministic for fixed input data."""
     box = lp.box
     A, r = lp.eq_matrix, lp.eq_rhs
     if A is None:
         A, r = np.empty((0, box.dimension)), np.empty(0)
-    # drop zero rows; a zero row with nonzero rhs is an immediate contradiction
-    row_mag = np.max(np.abs(A), axis=1, initial=0.0)
-    scale = max(1.0, float(np.max(row_mag, initial=0.0)))
-    zero_rows = row_mag <= 1e-14 * scale
-    if np.any(np.abs(r[zero_rows]) > FEAS_TOL * (1.0 + np.abs(r[zero_rows]))):
-        return LpSolution(LpStatus.INFEASIBLE)
-    A, r = A[~zero_rows], r[~zero_rows]
-    if A.shape[0] == 0:
-        value, point = minimize_linear_over_box(lp.objective, box)
-        return LpSolution(LpStatus.OPTIMAL, point, value)
 
     # deferred: scipy.optimize costs ~8.5 MiB and 0.07-0.17 s to import
     from scipy.optimize import linprog
@@ -106,15 +82,13 @@ def solve(lp: LinearProgram) -> LpSolution:
     bounds = np.column_stack([box.lower, box.upper])
     tol = {"primal_feasibility_tolerance": FEAS_TOL}
     res = linprog(lp.objective, A_eq=A, b_eq=r, bounds=bounds, method="highs", options=tol)
-    if res.status not in (0, 2, 3):
+    if res.status not in (0, 2):
         # the dual simplex can end with model status Unknown (4) when eq_rhs
         # lies within a few FEAS_TOL of the feasible set's boundary; one
         # interior-point solve, with crossover to a vertex, settles those
         res = linprog(lp.objective, A_eq=A, b_eq=r, bounds=bounds, method="highs-ipm", options=tol)
     if res.status == 2:
         return LpSolution(LpStatus.INFEASIBLE)
-    if res.status == 3:
-        return LpSolution(LpStatus.UNBOUNDED)
     if res.status != 0:
         raise RuntimeError(f"HiGHS failed on the LP (status {res.status}: {res.message})")
 
@@ -122,7 +96,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     free = (point > box.lower) & (point < box.upper)
     step = np.linalg.lstsq(A[:, free], r - A @ point, rcond=None)[0]
     point[free] = np.clip(point[free] + step, box.lower[free], box.upper[free])
-    resid = np.max(np.abs(A @ point - r))
+    resid = np.max(np.abs(A @ point - r), initial=0.0)
     if resid > 1e-8 * (1.0 + np.linalg.norm(r)):
         raise RuntimeError(f"HiGHS returned an inaccurate point (residual {resid:.3e})")
     return LpSolution(LpStatus.OPTIMAL, point, float(lp.objective @ point))

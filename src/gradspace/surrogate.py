@@ -31,7 +31,7 @@ class RbfConfig:
 
     shape: kernel width; None selects the median pairwise distance of the
         training centers (robust default).
-    regularization: diagonal loading relative to trace(K)/n.
+    regularization: diagonal loading added to K, whose diagonal is exactly 1.
     smoothing: when False (default) the fit must interpolate, and the
         regularization is walked down decade by decade until the training
         residual meets its bound; when True the given regularization is kept
@@ -109,8 +109,7 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
     sigma = config.shape if config.shape is not None else _median_distance(points)
     K = np.exp(-((cdist(points, points) / sigma) ** 2))
     P = np.hstack([np.ones((n, 1)), points])
-    trace_scale = np.trace(K) / n
-    eta = config.regularization * trace_scale
+    eta = config.regularization
 
     try:
         w, beta = _solve_augmented(K, P, values, eta)
@@ -126,7 +125,7 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
                 best = (resid, w, beta, eta)
             if resid <= max(1e-8, 10.0 * eta * value_norm):
                 break
-            if eta <= _REG_FLOOR * trace_scale:
+            if eta <= _REG_FLOOR:
                 warnings.warn(
                     f"training residual {best[0]:.3e} exceeds its bound at the "
                     "regularization floor; keeping the best solution",

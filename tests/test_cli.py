@@ -341,9 +341,12 @@ class TestMain:
                 "a = 3\ngamma_sweep = 0.9\n",
                 [],
             ),
+            ("pipeline", "model = ridge\nridge_direction = 0,0,0\n", []),
+            ("pipeline", "model = ridge\nridge_direction =\n", []),
         ],
         ids=["negative-seed", "negative-seed-flag", "negative-quad-seed",
-             "svt-rank-above-shape", "a-above-svt-rank"],
+             "svt-rank-above-shape", "a-above-svt-rank", "zero-ridge-direction",
+             "empty-ridge-direction"],
     )
     def test_inconsistent_values_exit_2(self, tmp_path, capsys, command, config_text, extra):
         config = tmp_path / "run.cfg"

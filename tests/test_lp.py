@@ -1,4 +1,4 @@
-"""Tests for the box-constrained LP solver (closed form without equalities, HiGHS with them).
+"""Tests for the box-constrained LP solver, which hands every program to HiGHS.
 
 Brute-force vertex enumeration is the oracle for small random programs; the
 near-boundary probes check the tolerance contract where HiGHS is most
@@ -16,12 +16,7 @@ from hypothesis import strategies as st
 from gradspace.cli import cmd_detect, read_subspace
 from gradspace.config import ExperimentConfig
 from gradspace.core import Hyperrectangle
-from gradspace.lp import (
-    LinearProgram,
-    LpStatus,
-    minimize_linear_over_box,
-    solve,
-)
+from gradspace.lp import LinearProgram, LpStatus, solve
 from gradspace.util import make_rng
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -61,47 +56,22 @@ def brute_force(c, A, r, box):
     return LpStatus.OPTIMAL, min(values)
 
 
-class TestMinimizeLinearOverBox:
-    def test_diagonal_objective(self):
-        box = Hyperrectangle.cube(2, np.pi)
-        c = np.array([SQ2, SQ2])
-        value, point = minimize_linear_over_box(c, box)
-        # oracle: corner enumeration of the square
-        corners = [np.array(p) for p in product((-np.pi, np.pi), repeat=2)]
-        assert value == pytest.approx(min(c @ p for p in corners), abs=1e-14)
-        np.testing.assert_allclose(point, [-np.pi, -np.pi])
-        assert value == pytest.approx(-np.sqrt(2) * np.pi)
-
-    def test_zero_objective_ties_to_lower(self):
-        box = Hyperrectangle.cube(3, 2.0)
-        value, point = minimize_linear_over_box(np.zeros(3), box)
-        assert value == 0.0
-        np.testing.assert_array_equal(point, box.lower)
-
-    def test_high_dimensional_axis(self):
-        box = Hyperrectangle.cube(250, 2.0)
-        c = np.zeros(250)
-        c[0] = 1.0
-        value, point = minimize_linear_over_box(c, box)
-        assert value == -2.0
-        assert point[0] == -2.0
-
-    def test_negation_symmetry_on_centered_box(self):
-        rng = make_rng(30)
-        box = Hyperrectangle.cube(5, 1.5)
-        for _ in range(20):
-            c = rng.standard_normal(5)
-            v_plus, _ = minimize_linear_over_box(c, box)
-            v_minus, _ = minimize_linear_over_box(-c, box)
-            assert v_plus == pytest.approx(-(-v_minus), abs=1e-14)
-            assert v_plus == pytest.approx(v_minus)  # symmetric box
-
-
 class TestSolve:
     def test_box_corner(self):
-        sol = solve(LinearProgram(np.array([1.0, 0.0]), Hyperrectangle.cube(2, 1.0)))
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(-1.0)
+        axis = np.zeros(250)
+        axis[0] = 1.0
+        for c, half_width, value in (
+            (np.array([1.0, 0.0]), 1.0, -1.0),
+            (axis, 2.0, -2.0),  # one axis of the paper's 250
+            (np.zeros(3), 2.0, 0.0),  # every point of the box is optimal
+        ):
+            box = Hyperrectangle.cube(c.size, half_width)
+            sol = solve(LinearProgram(c, box))
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.objective_value == pytest.approx(value)
+            assert box.contains(sol.point, tol=0.0)
+            if value:
+                assert sol.point[0] == -half_width
 
     def test_unreachable_rhs_is_infeasible(self):
         # oracle: the diagonal direction peaks at sqrt(2)*pi < 10 over the square
@@ -221,26 +191,33 @@ class TestPolishedPoint:
     @settings(max_examples=200, deadline=None)
     @given(
         d=st.integers(2, 6),
-        a=st.integers(1, 2),
+        a=st.integers(0, 2),
         feasible=st.booleans(),
+        rowless_as_none=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_programs_against_enumeration(self, d, a, feasible, seed):
-        # the boxes, rows, right-hand sides and objectives of acceptance c11
+    def test_random_programs_against_enumeration(self, d, a, feasible, rowless_as_none, seed):
+        # the boxes, rows, right-hand sides and objectives of acceptance c11,
+        # and programs without rows, passed as None or as a (0, d) matrix
         rng = make_rng(seed)
         box = Hyperrectangle(-rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, d))
         A = rng.standard_normal((a, d))
         r = A @ box.sample(rng, 1)[0] if feasible else rng.uniform(-4.0, 4.0, a)
         c = rng.standard_normal(d)
+        if a == 0:
+            c[rng.random(d) < 0.3] = 0.0  # ties: any point between the bounds is optimal
         status, value = brute_force(c, A, r, box)
-        sol = solve(LinearProgram(c, box, A, r))
+        if a == 0 and rowless_as_none:
+            sol = solve(LinearProgram(c, box))
+        else:
+            sol = solve(LinearProgram(c, box, A, r))
         assert sol.status is status
         if status is LpStatus.OPTIMAL:
             assert sol.objective_value == pytest.approx(value, abs=1e-8)
             assert box.contains(sol.point, tol=0.0)
             inside = np.sum((sol.point > box.lower) & (sol.point < box.upper))
             if inside >= a:
-                resid = np.max(np.abs(A @ sol.point - r))
+                resid = np.max(np.abs(A @ sol.point - r), initial=0.0)
                 assert resid <= 1e-12 * (1.0 + np.linalg.norm(r))
 
     def test_paper_dimension_subspace(self, tmp_path):

@@ -5,6 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradspace.cli import read_jacobian, read_subspace, write_jacobian, write_subspace
 from gradspace.core import ActiveSubspace
@@ -57,17 +60,30 @@ class TestFormatBytes:
 
 
 class TestContainer:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "c.bin"
-        a, b = np.arange(6.0).reshape(2, 3), np.array([-1.5, 2.25])
-        write_container(path, b"TEST0001", {"version": 1, "r": 2}, [a, b])
-        header, (a2, b2) = read_container(
-            path, b"TEST0001", "test", lambda h: [(h["r"], 3), (h["r"],)]
+    # every float64 bit pattern, NaN, infinities and -0.0 among them, and
+    # every shape, empty and zero-dimensional ones among them
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        arrays=st.lists(
+            hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, min_side=0, max_side=5)),
+            max_size=4,
         )
-        assert header == {"version": 1, "r": 2}
-        np.testing.assert_array_equal(a2, a)
-        np.testing.assert_array_equal(b2, b)
-        assert a2.flags.writeable  # copies, not views of the file buffer
+    )
+    def test_round_trip(self, tmp_path, arrays):
+        path = tmp_path / "c.bin"
+        header = {"version": 1, "shapes": [list(a.shape) for a in arrays]}
+        write_container(path, b"TEST0001", header, arrays)
+        header2, arrays2 = read_container(
+            path, b"TEST0001", "test", lambda h: [tuple(s) for s in h["shapes"]]
+        )
+        assert header2 == header
+        assert len(arrays2) == len(arrays)
+        for a, a2 in zip(arrays, arrays2):
+            assert a2.shape == a.shape
+            assert a2.tobytes() == a.tobytes()  # bitwise: NaN payloads and signed zeros
+            assert a2.flags.writeable  # copies, not views of the file buffer
 
     def test_bad_magic_names_path(self, tmp_path):
         path = tmp_path / "c.bin"
