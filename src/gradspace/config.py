@@ -6,6 +6,7 @@ are ignored. Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -65,6 +66,11 @@ class ExperimentConfig:
     rbf_smoothing: float = -1.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if isinstance(value, (float, tuple)) and not all(map(math.isfinite, values)):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.model not in _MODELS:
             raise ConfigError(f"unknown model '{self.model}' (choose from {_MODELS})")
         for name in ("k", "n_design", "eval_points", "replicates"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 __all__ = [
     "Hyperrectangle",

@@ -76,7 +76,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     if A is None:
         A, r = np.empty((0, box.dimension)), np.empty(0)
 
-    # deferred: scipy.optimize costs ~8.5 MiB and 0.07-0.17 s to import
+    # deferred: after scipy.linalg, importing scipy.optimize (and the sparse,
+    # special and spatial subpackages it imports) costs 0.23-0.28 s and 21 MiB on 2 CPUs
     from scipy.optimize import linprog
 
     bounds = np.column_stack([box.lower, box.upper])

@@ -78,7 +78,7 @@ def ridge(
 ) -> TestFunction:
     """profile(direction . s): varies along a single direction only."""
     a = np.asarray(direction, dtype=float)
-    if a.ndim != 1 or np.linalg.norm(a) == 0:
+    if a.ndim != 1 or not np.any(a):
         raise ValueError("direction must be a nonzero vector")
 
     def f(s):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from ..core import Hyperrectangle, _apply_sign_convention
 

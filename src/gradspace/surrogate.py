@@ -3,7 +3,8 @@
 Gaussian kernel with a linear polynomial tail, solved as the classic
 augmented symmetric system. The tail makes linear data exact regardless of
 the kernel and pins the far field; the side conditions keep the kernel
-weights orthogonal to the polynomial block.
+weights orthogonal to the polynomial block. Distances are summed one
+coordinate at a time in numpy, the order scipy's cdist uses.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist, pdist
 
 from .util import read_container, write_container
 
@@ -23,6 +22,7 @@ __all__ = ["RbfConfig", "RbfSurrogate", "fit", "evaluate", "predict", "save", "l
 _MAGIC = b"GRBF0001"
 _MEDIAN_SUBSET = 4096
 _REG_FLOOR = 1e-15
+_BLOCK = 32  # rows per block of distances and of predict's kernel
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,31 @@ class RbfSurrogate:
         return self.centers.shape[1]
 
 
-def _median_distance(points: np.ndarray) -> float:
-    if points.shape[0] > _MEDIAN_SUBSET:
-        stride = int(np.ceil(points.shape[0] / _MEDIAN_SUBSET))
-        points = points[::stride]
-    return float(np.median(pdist(points)))
+def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix between the rows of X and of Y.
+
+    Squared differences are added one coordinate at a time and then rooted,
+    so each entry is bitwise equal to scipy's cdist. Rows of X are taken
+    _BLOCK at a time, which keeps the working buffers in cache.
+    """
+    Yt = Y.T.copy()  # contiguous coordinates
+    D = np.zeros((X.shape[0], Y.shape[0]))
+    diff = np.empty((min(_BLOCK, X.shape[0]), Y.shape[0]))
+    for i in range(0, X.shape[0], _BLOCK):
+        rows = D[i : i + _BLOCK]
+        d = diff[: rows.shape[0]]
+        for x, y in zip(X[i : i + _BLOCK].T, Yt):
+            np.subtract(x[:, None], y, out=d)
+            d *= d
+            rows += d
+    return np.sqrt(D, out=D)
+
+
+def _median_distance(D: np.ndarray) -> float:
+    """Median pairwise distance over at most _MEDIAN_SUBSET evenly strided points."""
+    stride = -(-D.shape[0] // _MEDIAN_SUBSET)
+    sub = D[::stride, ::stride]
+    return float(np.median(sub[np.triu(np.ones(sub.shape, dtype=bool), 1)]))  # pdist's pairs
 
 
 def _solve_augmented(K, P, values, eta):
@@ -102,12 +122,12 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
         raise ValueError("values must have one entry per point")
     if n < a + 2:
         raise ValueError(f"need at least a+2 = {a + 2} points, got {n}")
-    nn = cKDTree(points).query(points, k=2)[0][:, 1]
-    if np.min(nn) <= 1e-12:
+    D = _distances(points, points)
+    if np.count_nonzero(D <= 1e-12) > n:  # beyond the zero diagonal
         raise ValueError("points must be pairwise distinct (min distance > 1e-12)")
 
-    sigma = config.shape if config.shape is not None else _median_distance(points)
-    K = np.exp(-((cdist(points, points) / sigma) ** 2))
+    sigma = config.shape if config.shape is not None else _median_distance(D)
+    K = np.exp(-((D / sigma) ** 2))
     P = np.hstack([np.ones((n, 1)), points])
     eta = config.regularization
 
@@ -153,8 +173,12 @@ def predict(model: RbfSurrogate, queries) -> np.ndarray:
         raise ValueError("query points must be finite")
     if Y.shape[1] != model.input_dimension:
         raise ValueError("query dimension does not match the model")
-    K = np.exp(-((cdist(Y, model.centers) / model.shape) ** 2))
-    return K @ model.weights + model.poly_coeffs[0] + Y @ model.poly_coeffs[1:]
+    out = np.empty(Y.shape[0])
+    for i in range(0, Y.shape[0], _BLOCK):
+        block = Y[i : i + _BLOCK]
+        K = np.exp(-((_distances(block, model.centers) / model.shape) ** 2))
+        out[i : i + _BLOCK] = K @ model.weights + model.poly_coeffs[0] + block @ model.poly_coeffs[1:]
+    return out
 
 
 def evaluate(model: RbfSurrogate, y) -> float:

@@ -343,10 +343,16 @@ class TestMain:
             ),
             ("pipeline", "model = ridge\nridge_direction = 0,0,0\n", []),
             ("pipeline", "model = ridge\nridge_direction =\n", []),
+            ("pipeline", "rbf_shape = nan\n", []),
+            ("pipeline", "model = ridge\nsvt_tau = nan\n", []),
+            ("pipeline", "model = pde\npde_half_width = nan\n", []),
+            ("pipeline", "model = pde\npde_half_width = inf\n", []),
+            ("pipeline", "model = ridge\nridge_direction = nan,1,1\n", []),
         ],
         ids=["negative-seed", "negative-seed-flag", "negative-quad-seed",
              "svt-rank-above-shape", "a-above-svt-rank", "zero-ridge-direction",
-             "empty-ridge-direction"],
+             "empty-ridge-direction", "nan-rbf-shape", "nan-svt-tau",
+             "nan-pde-half-width", "inf-pde-half-width", "nan-ridge-direction"],
     )
     def test_inconsistent_values_exit_2(self, tmp_path, capsys, command, config_text, extra):
         config = tmp_path / "run.cfg"

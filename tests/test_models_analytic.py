@@ -52,6 +52,14 @@ class TestSelfCheck:
         with pytest.raises(ValueError):
             ridge(np.zeros(3))
 
+    def test_ridge_accepts_direction_whose_norm_underflows(self):
+        # ||1e-200 e_1|| underflows to 0, yet the direction is nonzero: the
+        # failure belongs to detect, whose spectrum float64 cannot hold
+        tf = ridge(np.array([1e-200, 0.0, 0.0]))
+        samples = JacobianSamples.from_gradient(tf.grad, tf.domain, 10, make_rng(112))
+        with pytest.raises(ValueError, match=r"d=3 on a box within \[-1, 1\]\^3"):
+            detect_subspace(samples, tf.domain)
+
     def test_quadratic_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -2,9 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist, pdist
 
+from gradspace import surrogate
 from gradspace.surrogate import RbfConfig, evaluate, fit, load, predict, save
 from gradspace.util import make_rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_distances_bitwise_equal_cdist(data):
+    # oracle: scipy's cdist, whose per-coordinate summation order _distances keeps
+    a = data.draw(st.integers(1, 8), label="a")
+    coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    rows = hnp.arrays(np.float64, st.tuples(st.integers(1, 20), st.just(a)), elements=coords)
+    X, Y = data.draw(rows, label="X"), data.draw(rows, label="Y")
+    # repeated rows, within X and shared between X and Y
+    X = np.vstack([X, X[data.draw(st.lists(st.integers(0, len(X) - 1), max_size=20))]])
+    Y = np.vstack([Y, X[data.draw(st.lists(st.integers(0, len(X) - 1), max_size=20))]])
+    np.testing.assert_array_equal(surrogate._distances(X, Y), cdist(X, Y), strict=True)
 
 
 class TestFit:
@@ -78,16 +97,20 @@ class TestFit:
         K_trace_scale = 1.0  # gaussian kernel diagonal is one
         assert model.regularization == pytest.approx(1e-4 * K_trace_scale, rel=1e-6)
 
-    def test_shape_override(self):
+    def test_shape_override(self, monkeypatch):
         rng = make_rng(95)
         pts = rng.uniform(-1, 1, size=(20, 1))
-        model = fit(pts, np.tanh(pts.ravel()), RbfConfig(shape=0.5))
+        values = np.tanh(pts.ravel())
+        model = fit(pts, values, RbfConfig(shape=0.5))
         assert model.shape == 0.5
+        # the default: the median pairwise distance, over every stride-th
+        # point when there are more than _MEDIAN_SUBSET
+        assert fit(pts, values).shape == np.median(pdist(pts))
+        monkeypatch.setattr(surrogate, "_MEDIAN_SUBSET", 6)
+        assert fit(pts, values).shape == np.median(pdist(pts[::4]))
 
     def test_conditioning_degrades_with_flatter_kernel(self):
         # diagnostic only: the narrower kernel must not be worse conditioned
-        from scipy.spatial.distance import cdist
-
         rng = make_rng(96)
         pts = rng.uniform(-1, 1, size=(30, 2))
         conds = []
