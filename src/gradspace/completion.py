@@ -4,7 +4,11 @@ The iteration alternates a soft-threshold of the dual iterate's singular
 values with a gradient step on the revealed-entry residual, and returns the
 singular factors of the final thresholded iterate directly, so the caller
 never needs the completed matrix itself. Each iteration reads its residual
-off the dense iterate, ((U * S) @ Vt)[rows, cols], in that one place.
+off the dense iterate, ((U * S) @ Vt)[rows, cols], in that one place. The
+shrink step takes the singular pairs from an eigendecomposition of the
+iterate's smaller Gram matrix, and from an SVD only where squaring would cost
+accuracy at the threshold; a non-finite Gram matrix makes the shrink step
+fail, which ends the iteration as a divergence.
 """
 
 from __future__ import annotations
@@ -101,11 +105,41 @@ def reveal_uniform(
     return RevealedEntries(J.shape, rows, cols, J[rows, cols])
 
 
+# The shrink squares Y: near the threshold the Gram eigenvalues carry a
+# relative error of about n * eps * (sigma_max / tau)**2. Past this value of
+# (sigma_max / tau)**2, where that error nears 1e-10, the SVD of Y is used.
+_GRAM_RATIO_MAX = 1e4
+
+
+def _gram(Y: np.ndarray) -> np.ndarray:
+    """Gram matrix of Y on its shorter side: Y Y^T when wide, Y^T Y when tall."""
+    return Y @ Y.T if Y.shape[0] <= Y.shape[1] else Y.T @ Y
+
+
 def _shrink(Y: np.ndarray, tau: float):
-    """SVD soft-threshold: singular values at or below tau are dropped entirely."""
-    U, S, Vt = np.linalg.svd(Y, full_matrices=False)
-    keep = S > tau
-    return U[:, keep], S[keep] - tau, Vt[keep]
+    """SVD soft-threshold: singular values at or below tau are dropped entirely.
+
+    The singular pairs come from the eigendecomposition of the smaller Gram
+    matrix, whose eigenvalues are the squared singular values, or from an SVD
+    of Y past _GRAM_RATIO_MAX. A Gram matrix that overflows raises
+    LinAlgError, as a failed SVD does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _gram(Y)
+    if not np.all(np.isfinite(G)):
+        raise np.linalg.LinAlgError("the Gram matrix of the iterate is not finite")
+    w, Q = np.linalg.eigh(G)
+    tau2 = tau * tau
+    if w[-1] > _GRAM_RATIO_MAX * tau2:
+        U, S, Vt = np.linalg.svd(Y, full_matrices=False)
+        keep = S > tau
+        return U[:, keep], S[keep] - tau, Vt[keep]
+    keep = w > tau2
+    S = np.sqrt(w[keep][::-1])
+    Q = Q[:, keep][:, ::-1]
+    if Y.shape[0] <= Y.shape[1]:
+        return Q, S - tau, (Q.T @ Y) / S[:, None]
+    return (Y @ Q) / S, S - tau, Q.T
 
 
 def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> SvtResult:
@@ -116,7 +150,8 @@ def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> 
     level of the revealed values), whichever comes first. If the iteration
     budget runs out the best iterate seen is returned with converged=False,
     and so it is when the iteration diverges (an overlong step delta): the
-    residual of the thresholded iterate turns non-finite or the SVD fails.
+    residual of the thresholded iterate turns non-finite or the shrink step
+    fails, as it does when the iterate's Gram matrix is no longer finite.
     Both cases warn; a divergence at the first iteration returns rank zero.
     """
     if params is None:
@@ -134,8 +169,10 @@ def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> 
 
     M0 = np.zeros((d, k))
     M0[rows, cols] = vals
-    # kick-start: scale the initial dual iterate so thresholding bites immediately
-    k0 = float(np.ceil(params.tau / (params.delta * np.linalg.norm(M0, 2))))
+    # kick-start: scale the initial dual iterate so thresholding bites immediately;
+    # the spectral norm of M0 is the root of its Gram matrix's largest eigenvalue
+    spectral_norm = np.sqrt(np.linalg.eigvalsh(_gram(M0))[-1])
+    k0 = float(np.ceil(params.tau / (params.delta * spectral_norm)))
     Y = (k0 * params.delta) * M0
 
     best = (np.empty((d, 0)), np.empty(0), np.empty((0, k)))

@@ -9,6 +9,7 @@ gradient matrix so the condition number is never squared.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -79,7 +80,8 @@ class Hyperrectangle:
         return 0.5 * (self.lower + self.upper)
 
     def volume(self) -> float:
-        return float(np.prod(self.upper - self.lower))
+        """Lebesgue measure; +inf, with no warning, where it exceeds float64."""
+        return math.prod((self.upper - self.lower).tolist(), start=1.0)
 
     def contains(self, point, tol: float = 0.0) -> bool:
         p = np.asarray(point, dtype=float)

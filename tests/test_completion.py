@@ -1,10 +1,16 @@
 """Tests for matrix recovery by singular value thresholding."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradspace import completion
+from gradspace.cli import cmd_complete
 from gradspace.completion import RevealedEntries, SvtParams, reveal_uniform, svt_complete
+from gradspace.config import ExperimentConfig
 from gradspace.core import Hyperrectangle, JacobianSamples, detect_subspace, subspace_distance
 from gradspace.util import make_rng
 
@@ -15,6 +21,64 @@ def low_rank_matrix(rows, cols, singular_values, seed):
     U = np.linalg.qr(rng.standard_normal((rows, rank)))[0]
     V = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
     return (U * np.asarray(singular_values, dtype=float)) @ V.T
+
+
+def svd_shrink(Y, tau):
+    # oracle: soft-threshold of the singular values from a full SVD
+    U, S, Vt = np.linalg.svd(Y, full_matrices=False)
+    keep = S > tau
+    return U[:, keep], S[keep] - tau, Vt[keep]
+
+
+class TestShrink:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_svd(self, data):
+        rows, cols = data.draw(
+            st.sampled_from([(12, 30), (30, 12)]).flatmap(
+                lambda shape: st.tuples(st.integers(1, shape[0]), st.integers(1, shape[1]))
+            ),
+            label="shape",
+        )
+        tau = data.draw(st.floats(1e-3, 1e5), label="tau")
+        # singular values on both sides of tau, at log-spread relative distances
+        # from 10**-5.9 to 1 below it and to 10**1.99 above it, so none lies
+        # within 1e-6 of it and sigma_max**2 / tau**2 stays below 1e4
+        ratios = st.one_of(
+            st.floats(-5.9, 0.0).map(lambda e: 1.0 - 10.0**e),
+            st.floats(-5.9, 1.99).map(lambda e: 1.0 + 10.0**e),
+        )
+        n = min(rows, cols)
+        sv = tau * np.array(data.draw(st.lists(ratios, min_size=n, max_size=n), label="ratios"))
+        rng = make_rng(data.draw(st.integers(0, 2**32), label="seed"))
+        U0 = np.linalg.qr(rng.standard_normal((rows, sv.size)))[0]
+        V0 = np.linalg.qr(rng.standard_normal((cols, sv.size)))[0]
+        Y = (U0 * sv) @ V0.T
+
+        U, S, Vt = completion._shrink(Y, tau)
+        U_ref, S_ref, Vt_ref = svd_shrink(Y, tau)
+        assert S.size == S_ref.size == np.sum(sv > tau)
+        sigma_max = max(sv.max(), tau)
+        np.testing.assert_allclose(S + tau, S_ref + tau, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(
+            (U * S) @ Vt, (U_ref * S_ref) @ Vt_ref, rtol=0, atol=1e-10 * sigma_max
+        )
+        np.testing.assert_allclose(U.T @ U, np.eye(S.size), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(Vt @ Vt.T, np.eye(S.size), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(12, 30), (30, 12)])
+    def test_ill_conditioned_falls_back_to_svd(self, shape):
+        # sigma_max / tau = 1000: squaring would lose six digits at the threshold
+        Y = low_rank_matrix(*shape, [1000.0, 50.0, 2.0, 0.5], seed=89)
+        for got, expected in zip(completion._shrink(Y, 1.0), svd_shrink(Y, 1.0)):
+            np.testing.assert_array_equal(got, expected, strict=True)
+
+    def test_overflowing_gram_raises_without_warning(self):
+        Y = 1e200 * make_rng(90).standard_normal((6, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="Gram matrix"):
+                completion._shrink(Y, 1.0)
 
 
 class TestRevealUniform:
@@ -284,6 +348,27 @@ class TestSvtComplete:
             observed = RevealedEntries.from_triples((3, 3), [])
         with pytest.raises(ValueError):
             svt_complete(observed)
+
+
+class TestTrajectory:
+    # (rank, iterations, converged) per gamma of the svt-sweep benchmark
+    # workload, recorded with the SVD shrink: a shrink that moves the path fails here
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (1001, [(39, 103, 1), (50, 149, 1), (6, 16, 1)]),
+            (2002, [(37, 103, 1), (50, 176, 1), (10, 211, 1)]),
+        ],
+    )
+    def test_svt_sweep_path_pinned(self, tmp_path, seed, expected):
+        cfg = ExperimentConfig(
+            model="cos2", svt_synthetic=True, svt_rows=50, svt_cols=200,
+            gamma_sweep=(0.1, 0.5, 0.9),
+        )
+        files, _ = cmd_complete(cfg, tmp_path, seed=seed)
+        table = np.loadtxt(files["svt_error.csv"], delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 0], [0.1, 0.5, 0.9])
+        assert [tuple(int(v) for v in row[[2, 3, 5]]) for row in table] == expected
 
 
 class TestSvtParams:

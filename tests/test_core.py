@@ -34,6 +34,11 @@ class TestHyperrectangle:
         assert box.volume() == pytest.approx(8.0)
         np.testing.assert_allclose(box.center, [0.0, 2.0])
 
+    def test_volume_overflows_to_inf(self):
+        # 4**600 is past float64; pyproject's filters make a numpy overflow warning an error
+        assert Hyperrectangle.cube(600, 2.0).volume() == np.inf
+        assert Hyperrectangle.cube(500, 2.0).volume() == 4.0**500
+
     def test_rejects_empty_interior(self):
         with pytest.raises(ValueError):
             Hyperrectangle(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
