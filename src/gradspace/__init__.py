@@ -7,7 +7,6 @@ from .core import (
     detect_subspace,
     estimate_c_hat,
     finite_difference_jacobian,
-    rms_directional_variation,
     subspace_distance,
     suggest_truncation,
     truncate,
@@ -57,7 +56,6 @@ __all__ = [
     "membership",
     "predict",
     "reveal_uniform",
-    "rms_directional_variation",
     "solve",
     "subspace_distance",
     "suggest_truncation",

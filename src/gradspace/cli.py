@@ -314,7 +314,7 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     reduced = np.vstack([sites @ sub.basis_a, fresh.reduced_points])
     lifted = np.vstack([sites, fresh.lifted_points])
     all_values = np.concatenate([values, fresh_values])
-    design = geometry.ReducedDesign(reduced, lifted, all_values)
+    design = geometry.ReducedDesign(reduced, lifted)
     design.validate(domain)
 
     a, d = sub.retained, sub.dimension
@@ -346,7 +346,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     model = resolve_model(cfg)
     reduced, lifted, values = _load_csv(design_path, sub.retained, sub.dimension)
     domain = geometry.build_reduced_domain(sub, model.domain)
-    geometry.ReducedDesign(reduced, lifted, values).validate(domain)
+    geometry.ReducedDesign(reduced, lifted).validate(domain)
 
     smoothing = cfg.smoothing_scale()
     rbf_cfg = surrogate.RbfConfig(

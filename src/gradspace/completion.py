@@ -56,11 +56,6 @@ class RevealedEntries:
     def count(self) -> int:
         return self.rows.size
 
-    @classmethod
-    def from_triples(cls, shape, triples) -> "RevealedEntries":
-        rows, cols, vals = zip(*triples) if triples else ((), (), ())
-        return cls(tuple(shape), np.array(rows), np.array(cols), np.array(vals))
-
 
 @dataclass(frozen=True)
 class SvtParams:

@@ -85,7 +85,7 @@ class ExperimentConfig:
                 raise ConfigError("a must be >= 1")
             if self.svt_synthetic and a > self.svt_rank:
                 raise ConfigError(f"a={a} exceeds svt_rank={self.svt_rank} of the synthetic matrix")
-        for name in ("seed", "quad_seed"):
+        for name in ("seed", "quad_seed", "schedule_step"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for g in self.gamma_sweep:

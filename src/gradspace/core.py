@@ -27,7 +27,6 @@ __all__ = [
     "suggest_truncation",
     "subspace_distance",
     "finite_difference_jacobian",
-    "rms_directional_variation",
 ]
 
 _SIGN_TOL = 1e-12
@@ -356,43 +355,3 @@ def finite_difference_jacobian(
         if not np.isfinite(fi):
             raise ValueError("non-finite function value at a perturbed point")
     return grad
-
-
-def rms_directional_variation(
-    f: Callable[[np.ndarray], float],
-    domain: Hyperrectangle,
-    v,
-    step: float,
-    n: int,
-    rng: np.random.Generator,
-) -> float:
-    """Root mean square of f(s + step*v) - f(s) over n uniform draws.
-
-    Draws whose perturbed point exits the domain are resampled, so the
-    estimate averages only over admissible base points.
-    """
-    v = _as_array(v, "v")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("direction v must be a unit vector")
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    total = 0.0
-    accepted = 0
-    attempts = 0
-    limit = 1000 * n
-    while accepted < n:
-        attempts += 1
-        if attempts > limit:
-            raise RuntimeError(
-                "resampling budget exhausted: step too large for the domain"
-            )
-        s = domain.sample(rng, 1)[0]
-        sp = s + step * v
-        if not domain.contains(sp):
-            continue
-        diff = float(f(sp)) - float(f(s))
-        total += diff * diff
-        accepted += 1
-    return float(np.sqrt(total / n))

@@ -69,11 +69,10 @@ class ReducedDomain:
 
 @dataclass(frozen=True)
 class ReducedDesign:
-    """Reduced-coordinate design points, their lifted full-space points, and values."""
+    """Reduced-coordinate design points and their lifted full-space points."""
 
     reduced_points: np.ndarray  # (n, a)
     lifted_points: np.ndarray  # (n, d)
-    values: np.ndarray | None = None  # (n,)
 
     def validate(self, domain: ReducedDomain) -> None:
         """Re-check the lift invariants for every row; raises on violation."""

@@ -1,9 +1,8 @@
-from .analytic import TestFunction, builtin_test_functions, cosine_pair, quadratic, ridge
-from .pde import KlExpansion, PdeModel, build_kl, coefficient_field, gradient_q, make_pde_model, qoi, solve_adjoint, solve_forward
+from .analytic import TestFunction, cosine_pair, quadratic, ridge
+from .pde import KlExpansion, PdeModel, build_kl, coefficient_field, gradient_q, make_pde_model, qoi, solve_forward
 
 __all__ = [
     "TestFunction",
-    "builtin_test_functions",
     "cosine_pair",
     "ridge",
     "quadratic",
@@ -13,7 +12,6 @@ __all__ = [
     "make_pde_model",
     "coefficient_field",
     "solve_forward",
-    "solve_adjoint",
     "qoi",
     "gradient_q",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 from ..core import Hyperrectangle, finite_difference_jacobian
 from ..util import make_rng
 
-__all__ = ["TestFunction", "cosine_pair", "ridge", "quadratic", "builtin_test_functions"]
+__all__ = ["TestFunction", "cosine_pair", "ridge", "quadratic"]
 
 _SELF_CHECK_POINTS = 10
 _SELF_CHECK_TOL = 1e-4
@@ -115,20 +115,3 @@ def quadratic(A, half_width: float = 1.0) -> TestFunction:
         f=f,
         grad=grad,
     )
-
-
-def builtin_test_functions() -> dict[str, TestFunction]:
-    """Catalog of ready-made functions keyed by short names.
-
-    The ridge and quadratic entries use fixed representative parameters;
-    custom configurations come from calling ridge()/quadratic() directly.
-    """
-    rng = make_rng(7, stream=986)
-    A = rng.standard_normal((6, 6))
-    A = 0.5 * (A + A.T)
-    return {
-        "cos2": cosine_pair(1.0, 1.0),
-        "cos37": cosine_pair(0.3, 0.7),
-        "ridge": ridge(np.array([1.0, 2.0, 3.0])),
-        "quadratic": quadratic(A),
-    }

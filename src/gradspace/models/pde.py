@@ -31,7 +31,6 @@ __all__ = [
     "make_pde_model",
     "coefficient_field",
     "solve_forward",
-    "solve_adjoint",
     "qoi",
     "gradient_q",
 ]
@@ -225,14 +224,6 @@ def solve_forward(model: PdeModel, s) -> np.ndarray:
     u = _solve(chol, model.rhs)
     _check_residual(ab, u, model.rhs)
     return u
-
-
-def solve_adjoint(model: PdeModel, s) -> np.ndarray:
-    """Adjoint solution: the system matrix is symmetric, so the same solve applies."""
-    _, ab, chol = _factorize(model, s)
-    y = _solve(chol, model.qoi_weights)
-    _check_residual(ab, y, model.qoi_weights)
-    return y
 
 
 def qoi(model: PdeModel, u) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Callable
@@ -83,7 +84,8 @@ def read_container(
 ) -> tuple[dict, list[np.ndarray]]:
     """Read a file written by `write_container`; shapes(header) lists the array shapes.
 
-    Raises ValueError naming the path on a wrong magic or a truncated file.
+    Raises ValueError naming the path on a wrong magic, a truncated file, a
+    shape entry that is not a non-negative integer, or bytes past the last array.
     """
     raw = Path(path).read_bytes()
     if raw[: len(magic)] != magic:
@@ -98,10 +100,14 @@ def read_container(
     off += hlen
     arrays = []
     for shape in shapes(header):
-        count = int(np.prod(shape))
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"bad {kind} file {path}: shape {shape} is not non-negative integers")
+        count = math.prod(shape)
         if len(raw) < off + 8 * count:
             raise ValueError(f"truncated {kind} file {path}: array data cut short")
         arr = np.frombuffer(raw, dtype=float, count=count, offset=off)
         arrays.append(arr.reshape(shape).copy())
         off += 8 * count
+    if off != len(raw):
+        raise ValueError(f"bad {kind} file {path}: {len(raw) - off} bytes past the last array")
     return header, arrays

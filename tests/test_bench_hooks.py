@@ -2,12 +2,16 @@
 
 `perfbench/traced.py` replaces module attributes of the program from outside;
 a renamed attribute only shows up there as an unmeasured layer. One test
-installs the hooks and fails on any name they could not find. The other runs
+installs the hooks and fails on any name they could not find. Another runs
 each benchmark workload's config and applies the benchmark's own output
-checks, so a change the benchmark would refuse fails here first.
+checks, so a change the benchmark would refuse fails here first. The last
+runs the set-up probe the way the benchmark does, so a retired name or
+keyword it calls fails here rather than in every `setup_s` measurement.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,19 @@ def test_workload_passes_benchmark_checks(tmp_path, workload, seed):
     assert code == 0
     result = run.check_outputs(out, spec["workloads"][workload], spec["checks"], strict=True)
     assert result["failures"] == []
+
+
+@pytest.mark.parametrize("workload", ["pde-c10", "svt-sweep"])
+def test_setup_probe_reports_seconds(tmp_path, workload):
+    run = _load("run")
+    spec = run.load_json(PERFBENCH / "spec.json")
+    config = tmp_path / "run.cfg"
+    run.write_config(config, spec["workloads"][workload]["config"])
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    probe = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_probe.py"), str(config), str(cache)],
+        cwd=PERFBENCH.parent, env=run.child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert float(probe.stdout.splitlines()[-1]) > 0

@@ -75,6 +75,10 @@ class TestConfigParsing:
         cfg = parse_config("k = 7\nschedule_step = 3")
         assert cfg.schedule() == [3, 6, 7]
 
+    def test_negative_schedule_step_rejected(self):
+        with pytest.raises(ConfigError, match="schedule_step must be >= 0"):
+            parse_config("schedule_step = -3")
+
     def test_pde_truncation_bounded_by_grid(self):
         with pytest.raises(ConfigError, match="pde_d=37 exceeds the 36 cells"):
             parse_config("model = pde\npde_n = 6\npde_d = 37")
@@ -200,7 +204,7 @@ class TestSampleAndSurrogate:
         sub, _ = read_subspace(tmp_path / "subspace.bin")
         tf = cosine_pair(0.3, 0.7)
         domain = build_reduced_domain(sub, tf.domain)
-        design = ReducedDesign(data[:, :1], data[:, 1:3], data[:, 3])
+        design = ReducedDesign(data[:, :1], data[:, 1:3])
         design.validate(domain)  # lift invariants for every row
         # lifted points never exit the square
         assert np.all(np.abs(data[:, 1:3]) <= np.pi + 1e-9)
@@ -348,11 +352,13 @@ class TestMain:
             ("pipeline", "model = pde\npde_half_width = nan\n", []),
             ("pipeline", "model = pde\npde_half_width = inf\n", []),
             ("pipeline", "model = ridge\nridge_direction = nan,1,1\n", []),
+            ("detect", "schedule_step = -3\n", []),
         ],
         ids=["negative-seed", "negative-seed-flag", "negative-quad-seed",
              "svt-rank-above-shape", "a-above-svt-rank", "zero-ridge-direction",
              "empty-ridge-direction", "nan-rbf-shape", "nan-svt-tau",
-             "nan-pde-half-width", "inf-pde-half-width", "nan-ridge-direction"],
+             "nan-pde-half-width", "inf-pde-half-width", "nan-ridge-direction",
+             "negative-schedule-step"],
     )
     def test_inconsistent_values_exit_2(self, tmp_path, capsys, command, config_text, extra):
         config = tmp_path / "run.cfg"

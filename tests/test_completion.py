@@ -345,7 +345,7 @@ class TestSvtComplete:
 
     def test_rejects_empty_observation(self):
         with pytest.warns(RuntimeWarning, match="no revealed entry"):
-            observed = RevealedEntries.from_triples((3, 3), [])
+            observed = RevealedEntries((3, 3), [], [], [])
         with pytest.raises(ValueError):
             svt_complete(observed)
 

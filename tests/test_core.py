@@ -10,7 +10,6 @@ from gradspace.core import (
     detect_subspace,
     estimate_c_hat,
     finite_difference_jacobian,
-    rms_directional_variation,
     subspace_distance,
     suggest_truncation,
     truncate,
@@ -344,50 +343,6 @@ class TestFiniteDifferenceJacobian:
         box = Hyperrectangle.cube(1, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
             finite_difference_jacobian(lambda s: np.nan, box, np.zeros(1))
-
-
-class TestRmsDirectionalVariation:
-    def test_constant_function(self):
-        box = Hyperrectangle.cube(3, 1.0)
-        v = np.array([1.0, 0.0, 0.0])
-        assert rms_directional_variation(lambda s: 2.5, box, v, 1e-3, 100, make_rng(18)) == 0.0
-
-    def test_flat_direction_of_cosine(self):
-        box = cos2_domain()
-        v = np.array([-SQ2, SQ2])
-        r = rms_directional_variation(
-            lambda s: np.cos(s[0] + s[1]), box, v, 1e-3, 500, make_rng(19)
-        )
-        assert r < 1e-12
-
-    def test_active_direction_matches_eigenvalue_identity(self):
-        # oracle: mean squared directional derivative equals lambda_1 / |domain|,
-        # which is exactly 1 for the two-dimensional cosine, so the RMS of the
-        # increment at step h is h to first order
-        box = cos2_domain()
-        v = np.array([SQ2, SQ2])
-        h = 1e-3
-        r = rms_directional_variation(
-            lambda s: np.cos(s[0] + s[1]), box, v, h, 20000, make_rng(20)
-        )
-        assert r == pytest.approx(h, rel=0.05)
-
-    def test_rejects_zero_samples(self):
-        box = cos2_domain()
-        with pytest.raises(ValueError):
-            rms_directional_variation(lambda s: 0.0, box, np.array([1.0, 0.0]), 1e-3, 0, make_rng(21))
-
-    def test_rejects_non_unit_direction(self):
-        box = cos2_domain()
-        with pytest.raises(ValueError):
-            rms_directional_variation(lambda s: 0.0, box, np.array([1.0, 1.0]), 1e-3, 5, make_rng(22))
-
-    def test_oversized_step_exhausts_resampling(self):
-        # a step longer than the domain diagonal can never stay inside
-        box = Hyperrectangle.cube(2, 1.0)
-        v = np.array([1.0, 0.0])
-        with pytest.raises(RuntimeError, match="budget"):
-            rms_directional_variation(lambda s: 0.0, box, v, 10.0, 3, make_rng(24))
 
 
 class TestEigenvalueIdentity:

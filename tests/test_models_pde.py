@@ -18,7 +18,6 @@ from gradspace.models.pde import (
     gradient_q,
     make_pde_model,
     qoi,
-    solve_adjoint,
     solve_forward,
 )
 from gradspace.util import make_rng
@@ -245,7 +244,7 @@ class TestSolveFailures:
         return make_pde_model(n=17, d=10, box_half_width=400.0)
 
     @pytest.mark.parametrize("corner", [400.0, -400.0])
-    @pytest.mark.parametrize("solve", [solve_forward, solve_adjoint, gradient_q])
+    @pytest.mark.parametrize("solve", [solve_forward, gradient_q])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_operator_raises(self, wide_model, corner, solve):
         with pytest.raises(RuntimeError):
@@ -289,32 +288,6 @@ class TestQoi:
         c = small_model.qoi_weights
         assert np.all(c >= 0)
         assert c.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestAdjoint:
-    def test_adjoint_residual(self, small_model):
-        rng = make_rng(123)
-        s = rng.uniform(-2, 2, 10)
-        y = solve_adjoint(small_model, s)
-        K = _dense_operator(small_model, coefficient_field(small_model, s))
-        resid = np.linalg.norm(K @ y - small_model.qoi_weights)
-        assert resid <= 1e-10
-
-    def test_deterministic(self, small_model):
-        s = make_rng(124).uniform(-2, 2, 10)
-        y1 = solve_adjoint(small_model, s)
-        y2 = solve_adjoint(small_model, s)
-        np.testing.assert_array_equal(y1, y2)
-
-    def test_reciprocity(self, small_model):
-        # oracle: both sides equal the same bilinear form in exact arithmetic
-        rng = make_rng(125)
-        s = rng.uniform(-2, 2, 10)
-        u = solve_forward(small_model, s)
-        y = solve_adjoint(small_model, s)
-        lhs = small_model.qoi_weights @ u
-        rhs = small_model.rhs @ y
-        assert abs(lhs - rhs) <= 1e-10
 
 
 class TestGradient:

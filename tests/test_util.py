@@ -101,6 +101,18 @@ class TestContainer:
         with pytest.raises(ValueError, match=f"truncated test file {re.escape(str(path))}"):
             read_container(path, b"TEST0001", "test", lambda h: [(h["n"],)])
 
+    @pytest.mark.parametrize(
+        "header",
+        [{"d": -1, "k": 1}, {"d": 2, "k": 2}, {"d": 1.5, "k": 4}],
+        ids=["negative-shape", "trailing-bytes", "non-integer-shape"],
+    )
+    def test_malformed_file_names_path(self, tmp_path, header):
+        # six floats under a header whose shapes do not account for exactly six
+        path = tmp_path / "jacobian.bin"
+        write_container(path, b"GJAC0001", {**header, "version": 1}, [np.arange(6.0)])
+        with pytest.raises(ValueError, match=f"bad gradient-matrix file {re.escape(str(path))}"):
+            read_jacobian(path)
+
     def test_truncated_formats_raise_value_error(self, tmp_path):
         writers = {
             "subspace.bin": (lambda p: write_subspace(p, _fixed_subspace(), 7), read_subspace),
