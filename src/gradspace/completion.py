@@ -4,11 +4,11 @@ The iteration alternates a soft-threshold of the dual iterate's singular
 values with a gradient step on the revealed-entry residual, and returns the
 singular factors of the final thresholded iterate directly, so the caller
 never needs the completed matrix itself. Each iteration reads its residual
-off the dense iterate, ((U * S) @ Vt)[rows, cols], in that one place. The
-shrink step takes the singular pairs from an eigendecomposition of the
-iterate's smaller Gram matrix, and from an SVD only where squaring would cost
-accuracy at the threshold; a non-finite Gram matrix makes the shrink step
-fail, which ends the iteration as a divergence.
+off the dense iterate at the revealed entries' flat indices, in that one
+place. The shrink step takes the singular pairs from an eigendecomposition of
+the iterate's smaller Gram matrix, and from an SVD only where squaring would
+cost accuracy at the threshold; a non-finite Gram matrix makes the shrink
+step fail, which ends the iteration as a divergence.
 """
 
 from __future__ import annotations
@@ -155,6 +155,7 @@ def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> 
         raise ValueError("need at least one revealed entry")
     d, k = observed.shape
     rows, cols, vals = observed.rows, observed.cols, observed.values
+    flat = rows * k + cols  # unique, as RevealedEntries rejects duplicate pairs
 
     norm_obs = float(np.linalg.norm(vals))
     if norm_obs == 0.0:
@@ -182,7 +183,7 @@ def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> 
         except np.linalg.LinAlgError as exc:
             diverged = f"the SVD failed at iteration {it} ({exc})"
             break
-        resid = ((U * S) @ Vt)[rows, cols] - vals
+        resid = ((U * S) @ Vt).ravel().take(flat) - vals
         # a finite residual can overflow its norm; the non-finite check below reports that
         with np.errstate(over="ignore"):
             abs_res = float(np.linalg.norm(resid))
@@ -196,7 +197,7 @@ def svt_complete(observed: RevealedEntries, params: SvtParams | None = None) -> 
         if rel <= params.tol or abs_res <= params.eps:
             converged = True
             break
-        Y[rows, cols] -= params.delta * resid
+        Y.ravel()[flat] -= params.delta * resid  # Y is C-contiguous: ravel is a view
 
     U, S, Vt = best
     # no iterate at all leaves the zero matrix, whose relative residual is 1

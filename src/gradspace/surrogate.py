@@ -95,7 +95,7 @@ def _solve_augmented(K, P, values, eta):
     n, q = P.shape
     A = np.zeros((n + q, n + q))
     A[:n, :n] = K
-    A[:n, :n] += eta * np.eye(n)
+    A[:n, :n].flat[:: n + 1] += eta  # the diagonal of the kernel block
     A[:n, n:] = P
     A[n:, :n] = P.T
     rhs = np.concatenate([values, np.zeros(q)])
@@ -127,7 +127,13 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
         raise ValueError("points must be pairwise distinct (min distance > 1e-12)")
 
     sigma = config.shape if config.shape is not None else _median_distance(D)
-    K = np.exp(-((D / sigma) ** 2))
+    # D becomes K = exp(-(D / sigma)**2) in place, bitwise equal since numpy
+    # squares as x * x; fit then holds only K, the system matrix and its copy
+    K = D
+    K /= sigma
+    K *= K
+    np.negative(K, out=K)
+    np.exp(K, out=K)
     P = np.hstack([np.ones((n, 1)), points])
     eta = config.regularization
 

@@ -85,7 +85,8 @@ def read_container(
     """Read a file written by `write_container`; shapes(header) lists the array shapes.
 
     Raises ValueError naming the path on a wrong magic, a truncated file, a
-    shape entry that is not a non-negative integer, or bytes past the last array.
+    header that is not JSON or lacks what shapes(header) reads, a shape entry
+    that is not a non-negative integer, or bytes past the last array.
     """
     raw = Path(path).read_bytes()
     if raw[: len(magic)] != magic:
@@ -96,10 +97,17 @@ def read_container(
     (hlen,) = struct.unpack_from("<Q", raw, len(magic))
     if len(raw) < off + hlen:
         raise ValueError(f"truncated {kind} file {path}: header cut short")
-    header = json.loads(raw[off : off + hlen].decode())
+    try:
+        header = json.loads(raw[off : off + hlen].decode())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"bad {kind} file {path}: header is not JSON ({exc})") from exc
+    try:
+        array_shapes = shapes(header)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad {kind} file {path}: header does not give the shapes ({exc!r})") from exc
     off += hlen
     arrays = []
-    for shape in shapes(header):
+    for shape in array_shapes:
         if not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"bad {kind} file {path}: shape {shape} is not non-negative integers")
         count = math.prod(shape)

@@ -3,13 +3,17 @@
 `perfbench/traced.py` replaces module attributes of the program from outside;
 a renamed attribute only shows up there as an unmeasured layer. One test
 installs the hooks and fails on any name they could not find. Another runs
-each benchmark workload's config and applies the benchmark's own output
-checks, so a change the benchmark would refuse fails here first. The last
-runs the set-up probe the way the benchmark does, so a retired name or
-keyword it calls fails here rather than in every `setup_s` measurement.
+each benchmark workload's config under those hooks and applies the
+benchmark's own output checks and per-layer accounting, so a change the
+benchmark would refuse, or a layer whose calls no longer pass through a
+hooked name, fails here first. The last runs the set-up probe the way the
+benchmark does, so a retired name or keyword it calls fails here rather than
+in every `setup_s` measurement.
 """
 
+import contextlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -30,12 +34,15 @@ def _load(name):
 
 
 def _snapshot():
-    return [dict(vars(m)) for m in MODULES], dict(cli._STAGES)
+    # dunder names are left out: a run adds __warningregistry__ to a module that warns
+    names = [{k: v for k, v in vars(m).items() if not k.startswith("__")} for m in MODULES]
+    return names, dict(cli._STAGES)
 
 
-def test_install_finds_every_hook():
+@contextlib.contextmanager
+def _traced():
+    """Install the benchmark's hooks and yield their tracer; put the originals back on exit."""
     before = _snapshot()
-    original_lp_solve = geometry.lp_solve
     with pytest.MonkeyPatch.context() as mp:
         # register every attribute the hooks may replace, so the originals
         # are put back when the context closes
@@ -49,23 +56,38 @@ def test_install_finds_every_hook():
         traced = _load("traced")
         tracer = traced.Tracer("t")
         traced.install(tracer)
+        yield tracer
+    assert _snapshot() == before
+
+
+def test_install_finds_every_hook():
+    original_lp_solve = geometry.lp_solve
+    with _traced() as tracer:
         assert tracer.missing == []
         assert geometry.lp_solve is not original_lp_solve  # the hooks did replace names
-    assert _snapshot() == before
 
 
 @pytest.mark.parametrize("seed", [5000, 5001])
 @pytest.mark.parametrize("workload", ["pde-c10", "svt-sweep"])
 def test_workload_passes_benchmark_checks(tmp_path, workload, seed):
+    # one traced run: the program must pass the benchmark's output checks, and
+    # every layer the workload expects must record spans through the hooks
     run = _load("run")
     spec = run.load_json(PERFBENCH / "spec.json")
     config = tmp_path / "run.cfg"
     run.write_config(config, spec["workloads"][workload]["config"])
     out = tmp_path / "out"
-    code = cli.main(["pipeline", "--config", str(config), "--seed", str(seed), "--out", str(out)])
+    with _traced() as tracer:
+        code = cli.main(["pipeline", "--config", str(config), "--seed", str(seed), "--out", str(out)])
     assert code == 0
     result = run.check_outputs(out, spec["workloads"][workload], spec["checks"], strict=True)
     assert result["failures"] == []
+    assert run.check_nesting(tracer.spans) == []
+    metrics, unmeasured = run.layer_metrics(
+        [{"missing": tracer.missing, "spans": tracer.spans}], spec["workloads"][workload]["layers"], {}
+    )
+    assert unmeasured == []
+    json.dumps(metrics, allow_nan=False)  # every metric a finite number
 
 
 @pytest.mark.parametrize("workload", ["pde-c10", "svt-sweep"])

@@ -1,5 +1,7 @@
 """Tests for the reduced-space kernel interpolant."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,77 @@ class TestFit:
             K = np.exp(-((cdist(pts, pts) / sigma) ** 2))
             conds.append(np.linalg.cond(K))
         assert conds[0] <= conds[1] <= conds[2]
+
+
+def _five_array_fit(points, values, config):
+    """Reference: the fit as it was when it held the distances, the kernel, the
+    system matrix, np.eye(n) and eta * np.eye(n) at once. Returns
+    (weights, poly_coeffs, shape, regularization)."""
+
+    def solve(K, P, eta):
+        n, q = P.shape
+        A = np.zeros((n + q, n + q))
+        A[:n, :n] = K
+        A[:n, :n] += eta * np.eye(n)
+        A[:n, n:] = P
+        A[n:, :n] = P.T
+        sol = np.linalg.solve(A, np.concatenate([values, np.zeros(q)]))
+        return sol[:n], sol[n:]
+
+    n = len(points)
+    D = cdist(points, points)
+    sigma = config.shape if config.shape is not None else float(np.median(pdist(points)))
+    K = np.exp(-((D / sigma) ** 2))
+    P = np.hstack([np.ones((n, 1)), points])
+    eta = config.regularization
+    w, beta = solve(K, P, eta)
+    if not config.smoothing:
+        value_norm = float(np.linalg.norm(values))
+        best = (np.inf, w, beta, eta)
+        while True:
+            resid = float(np.max(np.abs(K @ w + P @ beta - values)))
+            if resid < best[0]:
+                best = (resid, w, beta, eta)
+            if resid <= max(1e-8, 10.0 * eta * value_norm):
+                break
+            if eta <= surrogate._REG_FLOOR:
+                _, w, beta, eta = best
+                break
+            eta /= 10.0
+            w, beta = solve(K, P, eta)
+    return w, beta, sigma, eta
+
+
+class TestFitMemoryAndBytes:
+    @pytest.mark.parametrize("smoothing", [False, True])
+    def test_fit_holds_under_three_kernel_sized_arrays(self, smoothing):
+        # the kernel, the saddle-point matrix and the solver's copy of it
+        n = 600
+        pts = make_rng(110).uniform(-1, 1, size=(n, 3))
+        vals = np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, 2])
+        tracemalloc.start()
+        try:
+            fit(pts, vals, RbfConfig(regularization=1e-4, smoothing=smoothing))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n * n
+
+    @pytest.mark.parametrize(
+        "config, decades",
+        [(RbfConfig(shape=0.5, regularization=1e-8), 5), (RbfConfig(regularization=1e-4, smoothing=True), 0)],
+        ids=["regularization-walk", "smoothing"],
+    )
+    def test_fit_bitwise_equal_to_five_array_fit(self, config, decades):
+        pts = make_rng(111).uniform(-1, 1, size=(150, 2))
+        vals = np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, 1])
+        model = fit(pts, vals, config)
+        w, beta, sigma, eta = _five_array_fit(pts, vals, config)
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.poly_coeffs.tobytes() == beta.tobytes()
+        assert model.shape == sigma
+        assert model.regularization == eta
+        assert round(np.log10(config.regularization / eta)) == decades
 
 
 class TestEvaluate:

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -103,13 +104,22 @@ class TestContainer:
 
     @pytest.mark.parametrize(
         "header",
-        [{"d": -1, "k": 1}, {"d": 2, "k": 2}, {"d": 1.5, "k": 4}],
-        ids=["negative-shape", "trailing-bytes", "non-integer-shape"],
+        [{"d": -1, "k": 1}, {"d": 2, "k": 2}, {"d": 1.5, "k": 4}, {}],
+        ids=["negative-shape", "trailing-bytes", "non-integer-shape", "missing-key"],
     )
     def test_malformed_file_names_path(self, tmp_path, header):
         # six floats under a header whose shapes do not account for exactly six
         path = tmp_path / "jacobian.bin"
         write_container(path, b"GJAC0001", {**header, "version": 1}, [np.arange(6.0)])
+        with pytest.raises(ValueError, match=f"bad gradient-matrix file {re.escape(str(path))}"):
+            read_jacobian(path)
+
+    @pytest.mark.parametrize(
+        "blob", [b"{x}", b"[]", b"\xff\xfe"], ids=["not-json", "not-an-object", "not-utf8"]
+    )
+    def test_unreadable_header_names_path(self, tmp_path, blob):
+        path = tmp_path / "jacobian.bin"
+        path.write_bytes(b"GJAC0001" + struct.pack("<Q", len(blob)) + blob + np.arange(6.0).tobytes())
         with pytest.raises(ValueError, match=f"bad gradient-matrix file {re.escape(str(path))}"):
             read_jacobian(path)
 
