@@ -121,14 +121,14 @@ def write_subspace(path, subspace: ActiveSubspace, seed: int) -> None:
     write_container(path, _SUBSPACE_MAGIC, header, arrays)
 
 
-def read_subspace(path) -> tuple[ActiveSubspace, int]:
-    header, (lam, Va, Vb) = read_container(
+def read_subspace(path) -> ActiveSubspace:
+    _, (lam, Va, Vb) = read_container(
         path,
         _SUBSPACE_MAGIC,
         "subspace",
         lambda h: [(h["d"],), (h["d"], h["a"]), (h["d"], h["d"] - h["a"])],
     )
-    return ActiveSubspace(Va, Vb, lam), header["seed"]
+    return ActiveSubspace(Va, Vb, lam)
 
 
 def write_jacobian(path, J: np.ndarray) -> None:
@@ -190,10 +190,10 @@ def cmd_detect(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     write_subspace(files["subspace.bin"], sub, seed)
 
     # convergence of the truncated subspace over prefixes of the sample set;
-    # the largest prefix (all k samples) serves as the reference
+    # the largest prefix (all k samples, already solved as sub) is the reference
     schedule = cfg.schedule()
-    bases = {}
-    for m in schedule:
+    bases = {schedule[-1]: sub.basis_a}
+    for m in schedule[:-1]:
         sub_m = detect_subspace(JacobianSamples(sites[:m], J[:, :m]), model.domain)
         bases[m] = truncate(sub_m, a).basis_a
     rows = []
@@ -250,7 +250,7 @@ def cmd_complete(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
                 "subspace.bin) or svt_synthetic = true"
             )
         J = read_jacobian(jac_path)
-        sub, _ = read_subspace(sub_path)
+        sub = read_subspace(sub_path)
         a = sub.retained
     reference = np.linalg.svd(J, full_matrices=False)[0][:, :a]
 
@@ -302,7 +302,7 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     samples_path = out / "samples.csv"
     if not (sub_path.exists() and samples_path.exists()):
         raise ConfigError("sample stage needs subspace.bin and samples.csv from detect")
-    sub, _ = read_subspace(sub_path)
+    sub = read_subspace(sub_path)
     model = resolve_model(cfg)
     sites, values = _load_csv(samples_path, sub.dimension)
 
@@ -342,7 +342,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     design_path = out / "design.csv"
     if not (sub_path.exists() and design_path.exists()):
         raise ConfigError("surrogate stage needs subspace.bin and design.csv")
-    sub, _ = read_subspace(sub_path)
+    sub = read_subspace(sub_path)
     model = resolve_model(cfg)
     reduced, lifted, values = _load_csv(design_path, sub.retained, sub.dimension)
     domain = geometry.build_reduced_domain(sub, model.domain)

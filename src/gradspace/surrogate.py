@@ -64,15 +64,16 @@ class RbfSurrogate:
         return self.centers.shape[1]
 
 
-def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _distances(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Euclidean distance matrix between the rows of X and of Y.
 
     Squared differences are added one coordinate at a time and then rooted,
     so each entry is bitwise equal to scipy's cdist. Rows of X are taken
-    _BLOCK at a time, which keeps the working buffers in cache.
+    _BLOCK at a time, which keeps the working buffers in cache. out, when
+    given, is a zeroed (len(X), len(Y)) array or view that receives D.
     """
     Yt = Y.T.copy()  # contiguous coordinates
-    D = np.zeros((X.shape[0], Y.shape[0]))
+    D = np.zeros((X.shape[0], Y.shape[0])) if out is None else out
     diff = np.empty((min(_BLOCK, X.shape[0]), Y.shape[0]))
     for i in range(0, X.shape[0], _BLOCK):
         rows = D[i : i + _BLOCK]
@@ -88,18 +89,15 @@ def _median_distance(D: np.ndarray) -> float:
     """Median pairwise distance over at most _MEDIAN_SUBSET evenly strided points."""
     stride = -(-D.shape[0] // _MEDIAN_SUBSET)
     sub = D[::stride, ::stride]
-    return float(np.median(sub[np.triu(np.ones(sub.shape, dtype=bool), 1)]))  # pdist's pairs
+    pairs = np.concatenate([row[i + 1 :] for i, row in enumerate(sub)])  # pdist's pairs
+    return float(np.median(pairs, overwrite_input=True))
 
 
-def _solve_augmented(K, P, values, eta):
-    n, q = P.shape
-    A = np.zeros((n + q, n + q))
-    A[:n, :n] = K
-    A[:n, :n].flat[:: n + 1] += eta  # the diagonal of the kernel block
-    A[:n, n:] = P
-    A[n:, :n] = P.T
-    rhs = np.concatenate([values, np.zeros(q)])
-    sol = np.linalg.solve(A, rhs)
+def _solve_augmented(A, n, values, eta):
+    """Solve the system whose top-left n×n block holds the kernel, loading its
+    diagonal with eta (K_ii is exactly 1, so 1 + eta is bitwise K_ii + eta)."""
+    np.fill_diagonal(A[:n, :n], 1.0 + eta)
+    sol = np.linalg.solve(A, np.concatenate([values, np.zeros(A.shape[0] - n)]))
     return sol[:n], sol[n:]
 
 
@@ -122,23 +120,28 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
         raise ValueError("values must have one entry per point")
     if n < a + 2:
         raise ValueError(f"need at least a+2 = {a + 2} points, got {n}")
-    D = _distances(points, points)
+    # the distances, then the kernel, live in the system matrix's top-left
+    # block, so fit holds only that matrix and the solver's copy of it
+    A = np.zeros((n + a + 1, n + a + 1))
+    D = _distances(points, points, out=A[:n, :n])
     if np.count_nonzero(D <= 1e-12) > n:  # beyond the zero diagonal
         raise ValueError("points must be pairwise distinct (min distance > 1e-12)")
 
     sigma = config.shape if config.shape is not None else _median_distance(D)
     # D becomes K = exp(-(D / sigma)**2) in place, bitwise equal since numpy
-    # squares as x * x; fit then holds only K, the system matrix and its copy
+    # squares as x * x
     K = D
     K /= sigma
     K *= K
     np.negative(K, out=K)
     np.exp(K, out=K)
     P = np.hstack([np.ones((n, 1)), points])
+    A[:n, n:] = P
+    A[n:, :n] = P.T
     eta = config.regularization
 
     try:
-        w, beta = _solve_augmented(K, P, values, eta)
+        w, beta = _solve_augmented(A, n, values, eta)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular augmented system (near-duplicate points?)") from exc
 
@@ -146,6 +149,7 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
         value_norm = float(np.linalg.norm(values))
         best = (np.inf, w, beta, eta)
         while True:
+            np.fill_diagonal(K, 1.0)  # unload the diagonal for the residual
             resid = float(np.max(np.abs(K @ w + P @ beta - values)))
             if resid < best[0]:
                 best = (resid, w, beta, eta)
@@ -160,7 +164,7 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
                 _, w, beta, eta = best
                 break
             eta /= 10.0
-            w, beta = _solve_augmented(K, P, values, eta)
+            w, beta = _solve_augmented(A, n, values, eta)
 
     return RbfSurrogate(
         centers=points,
@@ -182,7 +186,11 @@ def predict(model: RbfSurrogate, queries) -> np.ndarray:
     out = np.empty(Y.shape[0])
     for i in range(0, Y.shape[0], _BLOCK):
         block = Y[i : i + _BLOCK]
-        K = np.exp(-((_distances(block, model.centers) / model.shape) ** 2))
+        K = _distances(block, model.centers)
+        K /= model.shape  # the kernel in place, as fit forms it
+        K *= K
+        np.negative(K, out=K)
+        np.exp(K, out=K)
         out[i : i + _BLOCK] = K @ model.weights + model.poly_coeffs[0] + block @ model.poly_coeffs[1:]
     return out
 
@@ -216,11 +224,15 @@ def load(path: str | Path) -> RbfSurrogate:
         "surrogate model",
         lambda h: [(h["n"], h["a"]), (h["n"],), (h["a"] + 1,)],
     )
+    try:
+        shape, regularization = header["shape"], header["regularization"]
+    except KeyError as exc:
+        raise ValueError(f"bad surrogate model file {path}: header lacks {exc}") from exc
     return RbfSurrogate(
         centers=centers,
         weights=weights,
         poly_coeffs=poly,
-        shape=header["shape"],
-        regularization=header["regularization"],
+        shape=shape,
+        regularization=regularization,
         metadata=header.get("metadata", {}),
     )

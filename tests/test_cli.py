@@ -20,7 +20,7 @@ from gradspace.config import ConfigError, ExperimentConfig, parse_config
 from gradspace.core import ActiveSubspace, truncate
 from gradspace.geometry import ReducedDesign, build_reduced_domain
 from gradspace.models.analytic import cosine_pair
-from gradspace.util import make_rng, sha256_file
+from gradspace.util import make_rng, read_container, sha256_file, write_container
 
 
 class TestConfigParsing:
@@ -106,8 +106,20 @@ class TestContainers:
         sub = truncate(ActiveSubspace(V, np.empty((6, 0)), lam), 2)
         path = tmp_path / "subspace.bin"
         write_subspace(path, sub, seed=42)
-        loaded, seed = read_subspace(path)
-        assert seed == 42
+        loaded = read_subspace(path)
+        header, _ = read_container(path, b"GSUB0001", "subspace", lambda h: [(6,), (6, 2), (6, 4)])
+        assert header["seed"] == 42  # written for the record; no reader needs it
+        np.testing.assert_array_equal(loaded.basis_a, sub.basis_a)
+        np.testing.assert_array_equal(loaded.basis_b, sub.basis_b)
+        np.testing.assert_array_equal(loaded.eigenvalues, sub.eigenvalues)
+
+    def test_subspace_header_without_seed_reads(self, tmp_path):
+        V = np.linalg.qr(make_rng(132).standard_normal((4, 4)))[0]
+        sub = ActiveSubspace(V[:, :1], V[:, 1:], np.array([4.0, 3.0, 2.0, 1.0]))
+        path = tmp_path / "subspace.bin"
+        arrays = [sub.eigenvalues, sub.basis_a, sub.basis_b]
+        write_container(path, b"GSUB0001", {"d": 4, "a": 1, "version": 1}, arrays)
+        loaded = read_subspace(path)
         np.testing.assert_array_equal(loaded.basis_a, sub.basis_a)
         np.testing.assert_array_equal(loaded.basis_b, sub.basis_b)
         np.testing.assert_array_equal(loaded.eigenvalues, sub.eigenvalues)
@@ -201,7 +213,7 @@ class TestSampleAndSurrogate:
         assert info["design_size"] == 90  # original 50 + fresh 40
 
         data = np.loadtxt(files["design.csv"], delimiter=",", skiprows=1)
-        sub, _ = read_subspace(tmp_path / "subspace.bin")
+        sub = read_subspace(tmp_path / "subspace.bin")
         tf = cosine_pair(0.3, 0.7)
         domain = build_reduced_domain(sub, tf.domain)
         design = ReducedDesign(data[:, :1], data[:, 1:3])

@@ -225,7 +225,7 @@ class TestPolishedPoint:
         # HiGHS's own vertices miss the rows by up to 1e-8
         cfg = ExperimentConfig(model="pde", pde_n=33, pde_d=250, k=100, a="5")
         cmd_detect(cfg, tmp_path, seed=2026)
-        Va = read_subspace(tmp_path / "subspace.bin")[0].basis_a
+        Va = read_subspace(tmp_path / "subspace.bin").basis_a
         box = Hyperrectangle.cube(250, 2.0)
         for s in box.sample(make_rng(36), 40):
             t = Va.T @ s  # liftable: s itself lies over t

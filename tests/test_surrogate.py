@@ -1,6 +1,11 @@
 """Tests for the reduced-space kernel interpolant."""
 
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,9 @@ from scipy.spatial.distance import cdist, pdist
 
 from gradspace import surrogate
 from gradspace.surrogate import RbfConfig, evaluate, fit, load, predict, save
-from gradspace.util import make_rng
+from gradspace.util import make_rng, write_container
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,6 +183,72 @@ class TestFitMemoryAndBytes:
             tracemalloc.stop()
         assert peak < 3 * 8 * n * n
 
+    @pytest.mark.parametrize("smoothing", [False, True])
+    def test_warm_fit_holds_under_two_kernel_sized_arrays(self, smoothing):
+        # the system matrix, with the kernel in its top-left block, and the
+        # pair distances the median reads; the solver's copy is not traced
+        n = 600
+        pts = make_rng(110).uniform(-1, 1, size=(n, 3))
+        vals = np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, 2])
+        config = RbfConfig(regularization=1e-4, smoothing=smoothing)
+        fit(pts, vals, config)  # warm-up
+        tracemalloc.start()
+        try:
+            fit(pts, vals, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * 8 * n * n
+
+    def test_fit_resident_rise_under_three_system_sized_arrays(self):
+        # what tracemalloc cannot see: LAPACK's copy of the system matrix.
+        # Linux carries a parent's high-water mark into its child's ru_maxrss
+        # at exec, so the fit runs in a grandchild of a small launcher, not
+        # in a child of this (large) test process.
+        pytest.importorskip("resource")
+        n, a = 1500, 5
+        script = f"""
+import resource
+import numpy as np
+from gradspace.surrogate import fit
+from gradspace.util import make_rng
+rng = make_rng(120)
+warm = rng.uniform(-1, 1, size=(50, {a}))
+fit(warm, np.sin(warm[:, 0]))
+pts = rng.uniform(-1, 1, size=({n}, {a}))
+vals = np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, -1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+fit(pts, vals)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+        launcher = (
+            "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run(
+            [sys.executable, "-c", launcher, script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
+        rise = int(run.stdout.splitlines()[-1]) * unit
+        system = 8 * (n + a + 1) ** 2
+        assert system < rise < 2.8 * system  # the system matrix itself must show
+
+    @pytest.mark.parametrize(
+        "n, subset", [(149, None), (150, None), (300, 64)], ids=["even", "odd", "strided"]
+    )
+    def test_median_distance_bitwise_equal_to_mask_form(self, monkeypatch, n, subset):
+        if subset is not None:
+            monkeypatch.setattr(surrogate, "_MEDIAN_SUBSET", subset)
+        rng = make_rng(112)
+        pts = rng.uniform(-1, 1, size=(n, 3))
+        for D in (surrogate._distances(pts, pts), rng.uniform(0, 1, size=(n, n))):
+            stride = -(-n // surrogate._MEDIAN_SUBSET)
+            sub = D[::stride, ::stride]
+            expected = np.median(sub[np.triu(np.ones(sub.shape, dtype=bool), 1)])
+            assert surrogate._median_distance(D.copy()) == expected
+
     @pytest.mark.parametrize(
         "config, decades",
         [(RbfConfig(shape=0.5, regularization=1e-8), 5), (RbfConfig(regularization=1e-4, smoothing=True), 0)],
@@ -212,6 +285,21 @@ class TestEvaluate:
         tail = model.poly_coeffs[0] + far @ model.poly_coeffs[1:]
         assert evaluate(model, far) == pytest.approx(tail, abs=1e-12)
 
+    def test_predict_bitwise_equal_to_out_of_place_kernel(self):
+        rng = make_rng(113)
+        pts = rng.uniform(-1, 1, size=(100, 2))
+        config = RbfConfig(regularization=1e-8, smoothing=True)
+        model = fit(pts, np.cos(2 * pts[:, 0]) * pts[:, 1], config)
+        queries = rng.uniform(-1.2, 1.2, size=(75, 2))  # two full blocks and a partial one
+        expected = np.empty(len(queries))
+        for i in range(0, len(queries), surrogate._BLOCK):
+            block = queries[i : i + surrogate._BLOCK]
+            K = np.exp(-((cdist(block, model.centers) / model.shape) ** 2))
+            expected[i : i + surrogate._BLOCK] = (
+                K @ model.weights + model.poly_coeffs[0] + block @ model.poly_coeffs[1:]
+            )
+        assert predict(model, queries).tobytes() == expected.tobytes()
+
     def test_rejects_non_finite_query(self):
         rng = make_rng(99)
         pts = rng.uniform(-1, 1, size=(10, 2))
@@ -235,6 +323,13 @@ class TestSaveLoad:
         assert loaded.regularization == model.regularization
         test = rng.uniform(-1, 1, size=(20, 3))
         np.testing.assert_array_equal(predict(loaded, test), predict(model, test))
+
+    def test_missing_header_key_names_path(self, tmp_path):
+        path = tmp_path / "model.bin"
+        arrays = [np.ones((3, 2)), np.ones(3), np.ones(3)]
+        write_container(path, b"GRBF0001", {"n": 3, "a": 2}, arrays)  # no shape, no regularization
+        with pytest.raises(ValueError, match=f"bad surrogate model file {re.escape(str(path))}"):
+            load(path)
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
