@@ -44,7 +44,7 @@ from .util import histogram_csv, make_rng, read_container, sha256_file, write_co
 
 __all__ = ["main", "cmd_detect", "cmd_complete", "cmd_sample", "cmd_surrogate"]
 
-_SUBSPACE_MAGIC = b"GSUB0001"
+_SUBSPACE_MAGIC = b"GSUB0002"
 _JACOBIAN_MAGIC = b"GJAC0001"
 
 # independent RNG stream ids per stage
@@ -115,20 +115,16 @@ def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelH
 # binary containers
 
 
-def write_subspace(path, subspace: ActiveSubspace, seed: int) -> None:
-    header = {"d": subspace.dimension, "a": subspace.retained, "seed": seed, "version": 1}
-    arrays = [subspace.eigenvalues, subspace.basis_a, subspace.basis_b]
-    write_container(path, _SUBSPACE_MAGIC, header, arrays)
+def write_subspace(path, subspace: ActiveSubspace) -> None:
+    header = {"d": subspace.dimension, "a": subspace.retained}
+    write_container(path, _SUBSPACE_MAGIC, header, [subspace.eigenvalues, subspace.basis_a])
 
 
 def read_subspace(path) -> ActiveSubspace:
-    _, (lam, Va, Vb) = read_container(
-        path,
-        _SUBSPACE_MAGIC,
-        "subspace",
-        lambda h: [(h["d"],), (h["d"], h["a"]), (h["d"], h["d"] - h["a"])],
+    _, (lam, Va) = read_container(
+        path, _SUBSPACE_MAGIC, "subspace", lambda h: [(h["d"],), (h["d"], h["a"])]
     )
-    return ActiveSubspace(Va, Vb, lam)
+    return ActiveSubspace(Va, lam)
 
 
 def write_jacobian(path, J: np.ndarray) -> None:
@@ -187,7 +183,7 @@ def cmd_detect(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     write_jacobian(files["jacobian.bin"], J)
 
     files["subspace.bin"] = out / "subspace.bin"
-    write_subspace(files["subspace.bin"], sub, seed)
+    write_subspace(files["subspace.bin"], sub)
 
     # convergence of the truncated subspace over prefixes of the sample set;
     # the largest prefix (all k samples, already solved as sub) is the reference
@@ -315,7 +311,7 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     lifted = np.vstack([sites, fresh.lifted_points])
     all_values = np.concatenate([values, fresh_values])
     design = geometry.ReducedDesign(reduced, lifted)
-    design.validate(domain)
+    design.validate(sub, model.domain)
 
     a, d = sub.retained, sub.dimension
     files = {}
@@ -330,9 +326,9 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     )
     files["sampler_stats.json"] = out / "sampler_stats.json"
     files["sampler_stats.json"].write_text(
-        json.dumps(stats.as_dict(), sort_keys=True, indent=2) + "\n"
+        json.dumps(dataclasses.asdict(stats), sort_keys=True, indent=2) + "\n"
     )
-    info = {"sampler": stats.as_dict(), "design_size": len(all_values)}
+    info = {"sampler": dataclasses.asdict(stats), "design_size": len(all_values)}
     return files, info
 
 
@@ -345,8 +341,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     sub = read_subspace(sub_path)
     model = resolve_model(cfg)
     reduced, lifted, values = _load_csv(design_path, sub.retained, sub.dimension)
-    domain = geometry.build_reduced_domain(sub, model.domain)
-    geometry.ReducedDesign(reduced, lifted).validate(domain)
+    geometry.ReducedDesign(reduced, lifted).validate(sub, model.domain)
 
     smoothing = cfg.smoothing_scale()
     rbf_cfg = surrogate.RbfConfig(
@@ -358,7 +353,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
 
     files = {}
     files["rbf_model.bin"] = out / "rbf_model.bin"
-    surrogate.save(surr, files["rbf_model.bin"], extra_metadata={"seed": seed})
+    surrogate.save(surr, files["rbf_model.bin"])
 
     rng = make_rng(seed, _STREAM_EVAL, rep)
     eval_sites = model.domain.sample(rng, cfg.eval_points)

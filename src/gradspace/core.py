@@ -162,29 +162,22 @@ def _apply_sign_convention(V: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ActiveSubspace:
-    """Orthonormal basis split into retained and complement blocks, plus eigenvalues.
+    """Orthonormal (d, a) basis of the retained directions, 1 <= a <= d, plus the full spectrum.
 
     Columns are sign-normalized (first entry of magnitude above 1e-12 made
-    positive) so identical inputs always produce the identical basis.
+    positive) so identical inputs always produce the identical basis. The
+    complement is not stored: nothing in the pipeline reads it.
     """
 
     basis_a: np.ndarray  # (d, a)
-    basis_b: np.ndarray  # (d, b), b = d - a
     eigenvalues: np.ndarray  # (d,), nonincreasing, >= 0
 
     def __post_init__(self):
         Va = _as_array(self.basis_a, "basis_a")
-        Vb = np.asarray(self.basis_b, dtype=float)
         lam = _as_array(self.eigenvalues, "eigenvalues")
-        if Va.ndim != 2:
-            raise ValueError("basis_a must be 2-d")
-        d = Va.shape[0]
-        if Vb.size == 0:
-            Vb = Vb.reshape(d, 0)
-        if Vb.ndim != 2 or Vb.shape[0] != d:
-            raise ValueError("basis_b must have the same row count as basis_a")
-        if Va.shape[1] + Vb.shape[1] != d:
-            raise ValueError("basis_a and basis_b columns must total the dimension")
+        if Va.ndim != 2 or not 1 <= Va.shape[1] <= Va.shape[0]:
+            raise ValueError("basis_a must be (d, a) with 1 <= a <= d")
+        d, a = Va.shape
         if lam.shape != (d,):
             raise ValueError("eigenvalues must have length d")
         if np.any(lam < -_EIG_CLAMP):
@@ -192,13 +185,9 @@ class ActiveSubspace:
         lam = np.where(lam < 0.0, 0.0, lam)
         if np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be nonincreasing")
-        V = np.hstack([Va, Vb])
-        if np.max(np.abs(V.T @ V - np.eye(d))) > _ORTHO_TOL:
-            raise ValueError("[basis_a | basis_b] is not orthogonal to 1e-10")
-        V = _apply_sign_convention(V)
-        a = Va.shape[1]
-        object.__setattr__(self, "basis_a", V[:, :a])
-        object.__setattr__(self, "basis_b", V[:, a:])
+        if np.max(np.abs(Va.T @ Va - np.eye(a))) > _ORTHO_TOL:
+            raise ValueError("basis_a columns are not orthogonal unit vectors to 1e-10")
+        object.__setattr__(self, "basis_a", _apply_sign_convention(Va))
         object.__setattr__(self, "eigenvalues", lam)
 
     @property
@@ -208,10 +197,6 @@ class ActiveSubspace:
     @property
     def retained(self) -> int:
         return self.basis_a.shape[1]
-
-    @property
-    def full_basis(self) -> np.ndarray:
-        return np.hstack([self.basis_a, self.basis_b])
 
 
 def _scaled_top(sv_top: float, domain: Hyperrectangle, k: int) -> float:
@@ -251,8 +236,8 @@ def estimate_c_hat(samples: JacobianSamples, domain: Hyperrectangle) -> np.ndarr
 def detect_subspace(samples: JacobianSamples, domain: Hyperrectangle) -> ActiveSubspace:
     """Eigendecomposition of the estimated derivative matrix, via the SVD of J.
 
-    Returns the full (untruncated) subspace: basis_a holds all d eigenvectors
-    sorted by descending eigenvalue and basis_b is empty. Eigenvalues are
+    Returns the untruncated subspace: basis_a holds all d eigenvectors
+    sorted by descending eigenvalue (a = d). Eigenvalues are
     |domain|/k times the squared singular values, zero-padded when fewer
     samples than dimensions; a top eigenvalue that is not a normal float64
     raises a ValueError naming d and the box.
@@ -267,16 +252,14 @@ def detect_subspace(samples: JacobianSamples, domain: Hyperrectangle) -> ActiveS
     lam = np.zeros(d)
     if sv[0] > 0.0:
         lam[: sv.size] = _scaled_top(sv[0], domain, k) * (sv / sv[0]) ** 2
-    return ActiveSubspace(U, np.empty((d, 0)), lam)
+    return ActiveSubspace(U, lam)
 
 
 def truncate(subspace: ActiveSubspace, a: int) -> ActiveSubspace:
-    """Split the basis after the first `a` columns; eigenvalues are unchanged."""
-    d = subspace.dimension
-    if not 1 <= a <= d:
-        raise ValueError(f"truncation a={a} out of range 1..{d}")
-    V = subspace.full_basis
-    return ActiveSubspace(V[:, :a], V[:, a:], subspace.eigenvalues)
+    """Keep the first `a` columns, 1 <= a <= subspace.retained; eigenvalues are unchanged."""
+    if not 1 <= a <= subspace.retained:
+        raise ValueError(f"truncation a={a} out of range 1..{subspace.retained}")
+    return ActiveSubspace(subspace.basis_a[:, :a], subspace.eigenvalues)
 
 
 def suggest_truncation(eigenvalues) -> int:

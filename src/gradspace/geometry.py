@@ -15,7 +15,7 @@ Z's H-representation; at most _MAX_CUTS are kept, from the longest rows.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
@@ -74,11 +74,11 @@ class ReducedDesign:
     reduced_points: np.ndarray  # (n, a)
     lifted_points: np.ndarray  # (n, d)
 
-    def validate(self, domain: ReducedDomain) -> None:
-        """Re-check the lift invariants for every row; raises on violation."""
-        Va = domain.subspace.basis_a
-        box = domain.full_domain
-        proj = self.lifted_points @ Va
+    def validate(self, subspace: ActiveSubspace, box: Hyperrectangle) -> None:
+        """Re-check the lift invariants of every row against V_a and the box; raises on violation."""
+        if subspace.dimension != box.dimension:
+            raise ValueError("subspace and domain dimensions differ")
+        proj = self.lifted_points @ subspace.basis_a
         if np.max(np.abs(proj - self.reduced_points)) > _PROJ_TOL:
             raise ValueError("design row violates projection consistency")
         lo_ok = np.all(self.lifted_points >= box.lower - _BOX_TOL)
@@ -95,9 +95,6 @@ class SamplerStats:
     lp_calls: int
     prefilter_rejects: int
     acceptance_rate: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def build_reduced_domain(

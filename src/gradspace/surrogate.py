@@ -10,7 +10,7 @@ coordinate at a time in numpy, the order scipy's cdist uses.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from .util import read_container, write_container
 
 __all__ = ["RbfConfig", "RbfSurrogate", "fit", "evaluate", "predict", "save", "load"]
 
-_MAGIC = b"GRBF0001"
+_MAGIC = b"GRBF0002"
 _MEDIAN_SUBSET = 4096
 _REG_FLOOR = 1e-15
 _BLOCK = 32  # rows per block of distances and of predict's kernel
@@ -57,7 +57,6 @@ class RbfSurrogate:
     poly_coeffs: np.ndarray  # (a + 1,): constant then linear
     shape: float
     regularization: float  # final absolute diagonal value
-    metadata: dict = field(default_factory=dict)
 
     @property
     def input_dimension(self) -> int:
@@ -83,6 +82,17 @@ def _distances(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> n
             d *= d
             rows += d
     return np.sqrt(D, out=D)
+
+
+def _gaussian(D: np.ndarray, shape: float) -> np.ndarray:
+    """Turn distances into the kernel exp(-(D / shape)**2) in place.
+
+    Bitwise equal to the out-of-place form, since numpy squares as x * x.
+    """
+    D /= shape
+    D *= D
+    np.negative(D, out=D)
+    return np.exp(D, out=D)
 
 
 def _median_distance(D: np.ndarray) -> float:
@@ -128,13 +138,7 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
         raise ValueError("points must be pairwise distinct (min distance > 1e-12)")
 
     sigma = config.shape if config.shape is not None else _median_distance(D)
-    # D becomes K = exp(-(D / sigma)**2) in place, bitwise equal since numpy
-    # squares as x * x
-    K = D
-    K /= sigma
-    K *= K
-    np.negative(K, out=K)
-    np.exp(K, out=K)
+    K = _gaussian(D, sigma)
     P = np.hstack([np.ones((n, 1)), points])
     A[:n, n:] = P
     A[n:, :n] = P.T
@@ -172,7 +176,6 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
         poly_coeffs=beta,
         shape=float(sigma),
         regularization=float(eta),
-        metadata={"kernel": "gaussian", "smoothing": config.smoothing},
     )
 
 
@@ -186,11 +189,7 @@ def predict(model: RbfSurrogate, queries) -> np.ndarray:
     out = np.empty(Y.shape[0])
     for i in range(0, Y.shape[0], _BLOCK):
         block = Y[i : i + _BLOCK]
-        K = _distances(block, model.centers)
-        K /= model.shape  # the kernel in place, as fit forms it
-        K *= K
-        np.negative(K, out=K)
-        np.exp(K, out=K)
+        K = _gaussian(_distances(block, model.centers), model.shape)
         out[i : i + _BLOCK] = K @ model.weights + model.poly_coeffs[0] + block @ model.poly_coeffs[1:]
     return out
 
@@ -200,20 +199,10 @@ def evaluate(model: RbfSurrogate, y) -> float:
     return float(predict(model, np.asarray(y, dtype=float).reshape(1, -1))[0])
 
 
-def save(model: RbfSurrogate, path: str | Path, extra_metadata: dict | None = None) -> None:
-    """Write the model to a flat versioned binary container.
-
-    extra_metadata entries (e.g. the experiment seed) are merged into the
-    stored metadata without mutating the in-memory model.
-    """
+def save(model: RbfSurrogate, path: str | Path) -> None:
+    """Write the model to a flat versioned binary container."""
     n, a = model.centers.shape
-    header = {
-        "n": n,
-        "a": a,
-        "shape": model.shape,
-        "regularization": model.regularization,
-        "metadata": {**model.metadata, **(extra_metadata or {})},
-    }
+    header = {"n": n, "a": a, "shape": model.shape, "regularization": model.regularization}
     write_container(path, _MAGIC, header, [model.centers, model.weights, model.poly_coeffs])
 
 
@@ -234,5 +223,4 @@ def load(path: str | Path) -> RbfSurrogate:
         poly_coeffs=poly,
         shape=shape,
         regularization=regularization,
-        metadata=header.get("metadata", {}),
     )

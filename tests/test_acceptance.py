@@ -243,7 +243,7 @@ def test_c09_sampler_soundness():
         rng_basis = make_rng(2026, stream=9)
         V = np.linalg.qr(rng_basis.standard_normal((20, 20)))[0]
         lam = np.sort(rng_basis.uniform(0, 1, 20))[::-1]
-        sub = truncate(ActiveSubspace(V, np.empty((20, 0)), lam), 4)
+        sub = truncate(ActiveSubspace(V, lam), 4)
         box = Hyperrectangle.cube(20, 1.0)
         domain = build_reduced_domain(sub, box)
 

@@ -6,14 +6,17 @@ installs the hooks and fails on any name they could not find. Another runs
 each benchmark workload's config under those hooks and applies the
 benchmark's own output checks and per-layer accounting, so a change the
 benchmark would refuse, or a layer whose calls no longer pass through a
-hooked name, fails here first. The last runs the set-up probe the way the
+hooked name, fails here first. Another runs the set-up probe the way the
 benchmark does, so a retired name or keyword it calls fails here rather than
-in every `setup_s` measurement.
+in every `setup_s` measurement. The last runs the benchmark's own traced
+command per workload, so the span dump, the report and the final JSON line
+are checked end to end as well.
 """
 
 import contextlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +107,24 @@ def test_setup_probe_reports_seconds(tmp_path, workload):
     )
     assert probe.returncode == 0, probe.stderr
     assert float(probe.stdout.splitlines()[-1]) > 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("workload", ["pde-c10", "svt-sweep"])
+def test_traced_benchmark_run_ends_in_strict_json(workload):
+    # one seed, plain and traced, from the checkout root; writes only under the
+    # git-ignored .bench_out/
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "5",
+         "--seconds", "0", "--trace", "1"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    line = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert line["correct"] is True
+    for name, metric in line["metrics"].items():
+        value = metric["value"]
+        assert isinstance(value, (int, float)) and math.isfinite(value), (name, value)

@@ -1,6 +1,7 @@
 """Tests for the configuration format and the command-line pipeline."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gradspace.cli import (
 )
 from gradspace.config import ConfigError, ExperimentConfig, parse_config
 from gradspace.core import ActiveSubspace, truncate
-from gradspace.geometry import ReducedDesign, build_reduced_domain
+from gradspace.geometry import ReducedDesign
 from gradspace.models.analytic import cosine_pair
 from gradspace.util import make_rng, read_container, sha256_file, write_container
 
@@ -103,26 +104,46 @@ class TestContainers:
         rng = make_rng(130)
         V = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         lam = np.sort(rng.uniform(0, 1, 6))[::-1]
-        sub = truncate(ActiveSubspace(V, np.empty((6, 0)), lam), 2)
+        sub = truncate(ActiveSubspace(V, lam), 2)
         path = tmp_path / "subspace.bin"
-        write_subspace(path, sub, seed=42)
+        write_subspace(path, sub)
         loaded = read_subspace(path)
-        header, _ = read_container(path, b"GSUB0001", "subspace", lambda h: [(6,), (6, 2), (6, 4)])
-        assert header["seed"] == 42  # written for the record; no reader needs it
+        header, _ = read_container(path, b"GSUB0002", "subspace", lambda h: [(6,), (6, 2)])
+        assert header == {"d": 6, "a": 2}
         np.testing.assert_array_equal(loaded.basis_a, sub.basis_a)
-        np.testing.assert_array_equal(loaded.basis_b, sub.basis_b)
         np.testing.assert_array_equal(loaded.eigenvalues, sub.eigenvalues)
 
     def test_subspace_header_without_seed_reads(self, tmp_path):
         V = np.linalg.qr(make_rng(132).standard_normal((4, 4)))[0]
-        sub = ActiveSubspace(V[:, :1], V[:, 1:], np.array([4.0, 3.0, 2.0, 1.0]))
+        sub = ActiveSubspace(V[:, :1], np.array([4.0, 3.0, 2.0, 1.0]))
         path = tmp_path / "subspace.bin"
-        arrays = [sub.eigenvalues, sub.basis_a, sub.basis_b]
-        write_container(path, b"GSUB0001", {"d": 4, "a": 1, "version": 1}, arrays)
+        arrays = [sub.eigenvalues, sub.basis_a]
+        write_container(path, b"GSUB0002", {"d": 4, "a": 1}, arrays)
         loaded = read_subspace(path)
         np.testing.assert_array_equal(loaded.basis_a, sub.basis_a)
-        np.testing.assert_array_equal(loaded.basis_b, sub.basis_b)
         np.testing.assert_array_equal(loaded.eigenvalues, sub.eigenvalues)
+
+    @staticmethod
+    def _write_gsub0001(path):
+        # the earlier layout: eigenvalues, V_a and the complement basis V_b
+        V = np.linalg.qr(make_rng(133).standard_normal((4, 4)))[0]
+        header = {"d": 4, "a": 1, "seed": 7, "version": 1}
+        write_container(path, b"GSUB0001", header, [np.array([4.0, 3.0, 2.0, 1.0]), V[:, :1], V[:, 1:]])
+
+    def test_old_subspace_format_refused(self, tmp_path):
+        path = tmp_path / "subspace.bin"
+        self._write_gsub0001(path)
+        with pytest.raises(ValueError, match=f"bad magic in {re.escape(str(path))}"):
+            read_subspace(path)
+
+    def test_sample_over_old_subspace_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("model = cos2\nk = 20\na = 1\nn_design = 10\neval_points = 50\n")
+        out = tmp_path / "out"
+        assert main(["detect", "--config", str(config), "--out", str(out)]) == 0
+        self._write_gsub0001(out / "subspace.bin")
+        assert main(["sample", "--config", str(config), "--out", str(out)]) == 3
+        assert "[sample]" in capsys.readouterr().err
 
     def test_jacobian_round_trip(self, tmp_path):
         J = make_rng(131).standard_normal((5, 9))
@@ -215,9 +236,8 @@ class TestSampleAndSurrogate:
         data = np.loadtxt(files["design.csv"], delimiter=",", skiprows=1)
         sub = read_subspace(tmp_path / "subspace.bin")
         tf = cosine_pair(0.3, 0.7)
-        domain = build_reduced_domain(sub, tf.domain)
         design = ReducedDesign(data[:, :1], data[:, 1:3])
-        design.validate(domain)  # lift invariants for every row
+        design.validate(sub, tf.domain)  # lift invariants for every row
         # lifted points never exit the square
         assert np.all(np.abs(data[:, 1:3]) <= np.pi + 1e-9)
 
@@ -392,6 +412,17 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
         assert "[surrogate]" in capsys.readouterr().err
+
+    def test_surrogate_over_other_dimension_exits_3(self, tmp_path, capsys):
+        # detect and sample on a 3-d ridge, then a surrogate stage configured for the 2-d cos2
+        ridge, cos2 = tmp_path / "ridge.cfg", tmp_path / "cos2.cfg"
+        ridge.write_text("model = ridge\nridge_direction = 1,2,3\nk = 20\na = 1\nn_design = 10\n")
+        cos2.write_text("model = cos2\nk = 20\na = 1\nn_design = 10\neval_points = 50\n")
+        out = str(tmp_path / "out")
+        for stage in ("detect", "sample"):
+            assert main([stage, "--config", str(ridge), "--out", out]) == 0
+        assert main(["surrogate", "--config", str(cos2), "--out", out]) == 3
+        assert "[surrogate] subspace and domain dimensions differ" in capsys.readouterr().err
 
     def test_design_with_missing_column_exit_code(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -15,17 +15,19 @@ from gradspace.core import ActiveSubspace
 from gradspace.surrogate import RbfSurrogate, load, save
 from gradspace.util import read_container, write_container
 
-# SHA-256 of each format written from the fixed arrays below; taken before the
-# three writers shared one codec, so they pin the on-disk layout byte for byte
-SUBSPACE_SHA = "89c27a566f184301ed569ce791d2f6d10616c4e4ab9c452c5e36879705ffeb70"
+# SHA-256 of each format written from the fixed arrays below, so they pin the
+# on-disk layout byte for byte. JACOBIAN_SHA was taken before the three writers
+# shared one codec; SUBSPACE_SHA and RBF_SHA were re-taken when GSUB0002 dropped
+# the complement basis and GRBF0002 the unread metadata
+SUBSPACE_SHA = "50e0d257eded43e1635332e2e86a6a010b7323e6a5072c9df467649851efd500"
 JACOBIAN_SHA = "84f3ffa1fdf108d0745e38d868c3c00382bb2dbfd2e6b351b6ff6c940363729e"
-RBF_SHA = "d0f93d29775c3057cdc1374aea7f43275adff13027f7f59bd34d19d6276a15a4"
+RBF_SHA = "31eedf9942811ebc410e6feb9d32986a4454494317c60ddab97712623f546c45"
 
 
 def _fixed_subspace() -> ActiveSubspace:
     V = np.eye(4)
     V[:2, :2] = [[0.6, -0.8], [0.8, 0.6]]
-    return ActiveSubspace(V[:, :2], V[:, 2:], np.array([4.0, 2.5, 0.5, 0.125]))
+    return ActiveSubspace(V[:, :2], np.array([4.0, 2.5, 0.5, 0.125]))
 
 
 def _fixed_rbf() -> RbfSurrogate:
@@ -35,7 +37,6 @@ def _fixed_rbf() -> RbfSurrogate:
         poly_coeffs=np.array([0.5, -1.0, 2.0]),
         shape=1.25,
         regularization=1e-10,
-        metadata={"kernel": "gaussian", "smoothing": False},
     )
 
 
@@ -46,7 +47,7 @@ def _sha(path) -> str:
 class TestFormatBytes:
     def test_subspace_bytes(self, tmp_path):
         path = tmp_path / "subspace.bin"
-        write_subspace(path, _fixed_subspace(), seed=7)
+        write_subspace(path, _fixed_subspace())
         assert _sha(path) == SUBSPACE_SHA
 
     def test_jacobian_bytes(self, tmp_path):
@@ -56,7 +57,7 @@ class TestFormatBytes:
 
     def test_rbf_bytes(self, tmp_path):
         path = tmp_path / "rbf_model.bin"
-        save(_fixed_rbf(), path, extra_metadata={"seed": 7})
+        save(_fixed_rbf(), path)
         assert _sha(path) == RBF_SHA
 
 
@@ -125,7 +126,7 @@ class TestContainer:
 
     def test_truncated_formats_raise_value_error(self, tmp_path):
         writers = {
-            "subspace.bin": (lambda p: write_subspace(p, _fixed_subspace(), 7), read_subspace),
+            "subspace.bin": (lambda p: write_subspace(p, _fixed_subspace()), read_subspace),
             "jacobian.bin": (lambda p: write_jacobian(p, np.ones((3, 4))), read_jacobian),
             "rbf_model.bin": (lambda p: save(_fixed_rbf(), p), load),
         }
