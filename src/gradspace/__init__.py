@@ -13,7 +13,6 @@ from .core import (
 )
 from .completion import RevealedEntries, SvtParams, SvtResult, reveal_uniform, svt_complete
 from .geometry import (
-    Membership,
     MembershipKind,
     ReducedDesign,
     ReducedDomain,
@@ -35,7 +34,6 @@ __all__ = [
     "LinearProgram",
     "LpSolution",
     "LpStatus",
-    "Membership",
     "MembershipKind",
     "RbfConfig",
     "RbfSurrogate",

@@ -60,12 +60,21 @@ _FULL_EVAL_CAP_ANALYTIC = 200000
 
 @dataclass(frozen=True)
 class ModelHandle:
-    """Uniform view of a model: domain, value, and value+gradient per point."""
+    """Uniform view of a model: domain, value, and value+gradient, per point or per batch."""
 
     name: str
     domain: Hyperrectangle
     value: Callable[[np.ndarray], float]
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
+
+    def values(self, points) -> np.ndarray:
+        """Values at the rows of `points`, one `value` call per row in order: shape (m,)."""
+        return np.array([self.value(s) for s in points], dtype=float)
+
+    def values_and_grads(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Values (k,) and gradient columns (d, k), one `value_and_grad` call per row in order."""
+        values, grads = zip(*(self.value_and_grad(s) for s in points))
+        return np.array(values, dtype=float), np.column_stack(grads)
 
 
 def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelHandle:
@@ -151,10 +160,7 @@ def cmd_detect(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     d = model.domain.dimension
 
     sites = model.domain.sample(rng, cfg.k)
-    values = np.empty(cfg.k)
-    J = np.empty((d, cfg.k))
-    for i in range(cfg.k):
-        values[i], J[:, i] = model.value_and_grad(sites[i])
+    values, J = model.values_and_grads(sites)
 
     samples = JacobianSamples(sites, J)
     full = detect_subspace(samples, model.domain)
@@ -305,7 +311,7 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     domain = geometry.build_reduced_domain(sub, model.domain)
     rng = make_rng(seed, _STREAM_SAMPLE, rep)
     fresh, stats = geometry.build_reduced_design(domain, cfg.n_design, rng)
-    fresh_values = np.array([model.value(s) for s in fresh.lifted_points])
+    fresh_values = model.values(fresh.lifted_points)
 
     reduced = np.vstack([sites @ sub.basis_a, fresh.reduced_points])
     lifted = np.vstack([sites, fresh.lifted_points])
@@ -379,7 +385,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
         "mean_surrogate": float(predictions.mean()),
     }
     if do_full:
-        truth = np.array([model.value(s) for s in eval_sites])
+        truth = model.values(eval_sites)
         errors = np.abs(predictions - truth)
         files["error_hist.csv"] = out / "error_hist.csv"
         histogram_csv(

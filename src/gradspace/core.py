@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy
 
 __all__ = [
     "Hyperrectangle",
@@ -246,9 +245,9 @@ def detect_subspace(samples: JacobianSamples, domain: Hyperrectangle) -> ActiveS
     d, k = samples.dimension, samples.count
     U, sv, _ = np.linalg.svd(samples.jacobian, full_matrices=False)
     if U.shape[1] < d:
-        # fewer samples than dimensions: complete the basis with the null space
-        comp = scipy.linalg.null_space(U.T)
-        U = np.hstack([U, comp])
+        # fewer samples than dimensions: complete the basis with the trailing
+        # columns of a full QR of U, which span U's orthogonal complement
+        U = np.hstack([U, np.linalg.qr(U, mode="complete")[0][:, U.shape[1] :]])
     lam = np.zeros(d)
     if sv[0] > 0.0:
         lam[: sv.size] = _scaled_top(sv[0], domain, k) * (sv / sv[0]) ** 2

@@ -28,7 +28,6 @@ from .lp import solve as lp_solve
 
 __all__ = [
     "MembershipKind",
-    "Membership",
     "ReducedDomain",
     "ReducedDesign",
     "SamplerStats",
@@ -47,11 +46,6 @@ class MembershipKind(Enum):
     DIRECTLY_INSIDE = "directly_inside"
     LIFTABLE_INSIDE = "liftable_inside"
     OUTSIDE = "outside"
-
-
-@dataclass(frozen=True)
-class Membership:
-    kind: MembershipKind
 
 
 @dataclass(frozen=True)
@@ -186,10 +180,9 @@ def _checked_point(domain: ReducedDomain, t) -> np.ndarray:
     return t
 
 
-def membership(domain: ReducedDomain, t) -> Membership:
+def membership(domain: ReducedDomain, t) -> MembershipKind:
     """Classify a reduced point: directly inside, inside after lifting, or outside."""
-    kind, _, _ = _classify(domain, _checked_point(domain, t))
-    return Membership(kind)
+    return _classify(domain, _checked_point(domain, t))[0]
 
 
 def lift(domain: ReducedDomain, t) -> np.ndarray:

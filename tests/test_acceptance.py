@@ -260,7 +260,7 @@ def test_c09_sampler_soundness():
         for _ in range(100):
             i, j = rng_pairs.integers(0, len(pts), 2)
             mid = 0.5 * (pts[i] + pts[j])
-            assert membership(domain, mid).kind is not MembershipKind.OUTSIDE
+            assert membership(domain, mid) is not MembershipKind.OUTSIDE
         assert elapsed() < 60.0
 
 

@@ -6,7 +6,8 @@ installs the hooks and fails on any name they could not find. Another runs
 each benchmark workload's config under those hooks and applies the
 benchmark's own output checks and per-layer accounting, so a change the
 benchmark would refuse, or a layer whose calls no longer pass through a
-hooked name, fails here first. Another runs the set-up probe the way the
+hooked name, fails here first; a small elliptic run counts one span per
+model evaluation. Another runs the set-up probe the way the
 benchmark does, so a retired name or keyword it calls fails here rather than
 in every `setup_s` measurement. The last runs the benchmark's own traced
 command per workload, so the span dump, the report and the final JSON line
@@ -91,6 +92,22 @@ def test_workload_passes_benchmark_checks(tmp_path, workload, seed):
     )
     assert unmeasured == []
     json.dumps(metrics, allow_nan=False)  # every metric a finite number
+
+
+def test_every_model_evaluation_is_spanned(tmp_path):
+    # the hooks swap the model handle's per-point fields; the stages' batch
+    # evaluations must go through the swapped fields, one span per point
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "model = pde\npde_n = 6\npde_d = 8\nk = 20\na = 2\nn_design = 10\n"
+        "eval_points = 50\nfull_eval = true\n"
+    )
+    with _traced() as tracer:
+        code = cli.main(["pipeline", "--config", str(config), "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == 0
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("pde.grad") == 20
+    assert names.count("pde.value") == 10 + 50
 
 
 @pytest.mark.parametrize("workload", ["pde-c10", "svt-sweep"])

@@ -14,6 +14,7 @@ from gradspace.cli import (
     main,
     read_jacobian,
     read_subspace,
+    resolve_model,
     write_jacobian,
     write_subspace,
 )
@@ -156,6 +157,33 @@ class TestContainers:
         path.write_bytes(b"XXXXXXXX" + b"\x00" * 32)
         with pytest.raises(ValueError):
             read_subspace(path)
+
+
+class TestModelHandle:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(model="pde", pde_n=6, pde_d=8),
+            ExperimentConfig(model="cos2"),
+            ExperimentConfig(model="cos2", gradient_mode="fd"),
+        ],
+        ids=["pde", "cos2", "cos2-fd"],
+    )
+    def test_batch_equals_per_point_calls(self, cfg):
+        model = resolve_model(cfg)
+        points = model.domain.sample(make_rng(12), 5)
+        d = model.domain.dimension
+
+        values = model.values(points)
+        assert values.shape == (5,)
+        assert values.tobytes() == np.array([model.value(s) for s in points]).tobytes()
+
+        values, J = model.values_and_grads(points)
+        assert values.shape == (5,) and J.shape == (d, 5)
+        for i, s in enumerate(points):
+            q, g = model.value_and_grad(s)
+            assert values[i].tobytes() == np.float64(q).tobytes()
+            assert J[:, i].tobytes() == np.asarray(g, dtype=float).tobytes()
 
 
 class TestDetect:

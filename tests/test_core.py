@@ -152,6 +152,7 @@ class TestDetectSubspace:
         sub = detect_subspace(samples, box)
         assert sub.basis_a.shape == (6, 6)
         np.testing.assert_array_equal(sub.eigenvalues[2:], np.zeros(4))
+        assert np.max(np.abs(sub.basis_a[:, 2:].T @ samples.jacobian)) < 1e-12
 
     def test_constant_direction_in_null_space(self):
         # with k >= d the flat direction must be annihilated by the estimate

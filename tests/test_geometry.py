@@ -102,7 +102,7 @@ class TestBuildReducedDomain:
 class TestMembership:
     def test_origin_is_direct(self):
         rd = build_reduced_domain(diag_subspace(), Hyperrectangle.cube(2, np.pi))
-        assert membership(rd, np.zeros(1)).kind is MembershipKind.DIRECTLY_INSIDE
+        assert membership(rd, np.zeros(1)) is MembershipKind.DIRECTLY_INSIDE
 
     def test_liftable_point_of_weighted_cosine(self):
         # a reduced point whose back-projection exits the square but whose
@@ -114,7 +114,7 @@ class TestMembership:
             t = t_val * rd.bounding_box.upper
             back = sub.basis_a @ t
             m = membership(rd, t)
-            if not box.contains(back, tol=1e-9) and m.kind is MembershipKind.LIFTABLE_INSIDE:
+            if not box.contains(back, tol=1e-9) and m is MembershipKind.LIFTABLE_INSIDE:
                 s = lift(rd, t)
                 assert box.contains(s, tol=1e-9)
                 found = True
@@ -123,7 +123,7 @@ class TestMembership:
     def test_beyond_extent_is_outside(self):
         rd = build_reduced_domain(diag_subspace(), Hyperrectangle.cube(2, np.pi))
         t = rd.bounding_box.upper + 1.0
-        assert membership(rd, t).kind is MembershipKind.OUTSIDE
+        assert membership(rd, t) is MembershipKind.OUTSIDE
 
     def test_rejects_non_finite(self):
         rd = build_reduced_domain(diag_subspace(), Hyperrectangle.cube(2, np.pi))
@@ -190,7 +190,7 @@ class TestSampleReduced:
         rd = build_reduced_domain(diag_subspace(), box)
         for t_val in np.linspace(rd.bounding_box.lower[0], rd.bounding_box.upper[0], 101):
             m = membership(rd, np.array([t_val]) * (1 - 1e-12))
-            assert m.kind is not MembershipKind.OUTSIDE
+            assert m is not MembershipKind.OUTSIDE
         _, stats = build_reduced_design(rd, 300, make_rng(46))
         assert stats.acceptance_rate == 1.0
         assert stats.draws == 300
@@ -225,7 +225,7 @@ class TestSampleReduced:
         for _ in range(40):
             i, j = rng.integers(0, len(accepted), 2)
             mid = 0.5 * (accepted[i] + accepted[j])
-            assert membership(rd, mid).kind is not MembershipKind.OUTSIDE
+            assert membership(rd, mid) is not MembershipKind.OUTSIDE
 
     def test_deterministic_given_seed(self):
         sub = random_subspace(7, 2, seed=54)
@@ -272,7 +272,7 @@ class TestEntryPointsAgree:
             np.array_equal(s, rd.subspace.basis_a @ t)
             for t, s in zip(design.reduced_points, design.lifted_points)
         ]
-        kinds = [membership(rd, t).kind for t in design.reduced_points]
+        kinds = [membership(rd, t) for t in design.reduced_points]
         assert [k is MembershipKind.DIRECTLY_INSIDE for k in kinds] == direct
         assert 0 < sum(direct) < len(direct)  # both paths are exercised
         assert MembershipKind.OUTSIDE not in kinds

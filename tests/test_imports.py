@@ -1,7 +1,8 @@
 """A run loads only the scipy subpackages it uses.
 
 Importing gradspace loads none; the elliptic model loads scipy.linalg when
-it is built, and the sampler loads scipy.optimize at its first LP. Each
+it is built, and the sampler loads scipy.optimize at its first LP. Detect
+completes a basis from fewer samples than dimensions in numpy alone. Each
 check runs in a fresh interpreter, since this one has long since imported
 all of them.
 """
@@ -48,3 +49,8 @@ def test_completion_pipeline_loads_no_scipy_subpackage(tmp_path):
 def test_elliptic_detect_loads_only_scipy_linalg(tmp_path):
     config = "model = pde\npde_n = 6\npde_d = 8\nk = 20\na = 2\n"
     assert _heavy_loaded_after(_cli_call(tmp_path, "detect", config)) == {"scipy.linalg"}
+
+
+def test_analytic_detect_with_fewer_samples_than_dimensions_loads_no_scipy_subpackage(tmp_path):
+    config = "model = quadratic\nquad_dim = 6\nk = 3\na = 1\n"
+    assert _heavy_loaded_after(_cli_call(tmp_path, "detect", config)) == set()
