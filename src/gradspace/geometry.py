@@ -5,9 +5,10 @@ retained basis: the zonotope Z = V_a^T box, whose generators are the rows of
 V_a. It is convex but not a box, so sampling draws uniformly from an
 enclosing box and keeps a point t when one routine, `_classify`, finds a
 full-space point over it: first the back-projection V_a t if it lies in the
-box; otherwise, unless a facet cut of Z proves t outside, the point that
-`lp.solve` returns for a small equality-constrained feasibility LP.
-`membership`, `lift` and the sampler all decide through that routine.
+box; otherwise, unless a facet cut of Z proves t outside, the least-norm
+point of the fibre {s in box : V_a^T s = t}, which `lp.least_norm_point`
+finds in numpy or proves absent (a program it cannot settle goes on to
+HiGHS). `membership`, `lift` and the sampler all decide through that routine.
 Z's facets lie on the hyperplanes spanned by a-1 generators (Ziegler,
 Lectures on Polytopes, 7.3), so the cuts from every (a-1)-subset of them are
 Z's H-representation; at most _MAX_CUTS are kept, from the longest rows.
@@ -24,7 +25,8 @@ import numpy as np
 
 from .core import ActiveSubspace, Hyperrectangle
 from .lp import LinearProgram, LpStatus
-from .lp import solve as lp_solve
+# bound as lp_solve: perfbench/traced.py times the lp layer through this name
+from .lp import least_norm_point as lp_solve
 
 __all__ = [
     "MembershipKind",
@@ -83,6 +85,13 @@ class ReducedDesign:
 
 @dataclass(frozen=True)
 class SamplerStats:
+    """Counts of one design's draws.
+
+    `lp_calls` counts the draws decided by the fibre solve, those that
+    neither the box test nor a facet cut settles; the name predates that
+    solve and stays because `sampler_stats.json` and the benchmark read it.
+    """
+
     draws: int
     accepted: int
     rejected: int
@@ -141,7 +150,7 @@ def _outside_cuts(domain: ReducedDomain, t: np.ndarray) -> bool:
 
 
 def _feasibility_lp(domain: ReducedDomain, t: np.ndarray) -> LinearProgram:
-    # the objective is irrelevant: any point satisfying the constraints will do
+    # a feasibility program: least_norm_point takes only a zero objective
     return LinearProgram(
         objective=np.zeros(domain.full_domain.dimension),
         box=domain.full_domain,
@@ -153,7 +162,7 @@ def _feasibility_lp(domain: ReducedDomain, t: np.ndarray) -> LinearProgram:
 def _classify(
     domain: ReducedDomain, t: np.ndarray
 ) -> tuple[MembershipKind, np.ndarray | None, bool]:
-    """Decide a reduced point and lift it: (kind, full-space point or None, whether the LP ran)."""
+    """Decide and lift a reduced point: (kind, full-space point or None, whether the fibre solve ran)."""
     Va = domain.subspace.basis_a
     s = Va @ t
     if domain.full_domain.contains(s, tol=_BOX_TOL):
@@ -186,7 +195,8 @@ def membership(domain: ReducedDomain, t) -> MembershipKind:
 
 
 def lift(domain: ReducedDomain, t) -> np.ndarray:
-    """Full-space point over t: the back-projection if it lies in the domain, else the LP's."""
+    """Full-space point over t: the back-projection if it lies in the domain, else the fibre's
+    least-norm point."""
     kind, s, _ = _classify(domain, _checked_point(domain, t))
     if kind is MembershipKind.OUTSIDE:
         raise ValueError("cannot lift a point outside the reduced domain")
@@ -199,7 +209,7 @@ def build_reduced_design(
     """Accept/reject n reduced points drawn uniformly from the enclosing box, and lift each one.
 
     The cheap box test on the back-projection and then the facet cuts run
-    before any LP; the LP only decides the points that both leave open.
+    before the fibre solve, which only decides the points that both leave open.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gradspace.cli import cmd_detect, read_subspace
+from gradspace.config import ExperimentConfig
 from gradspace.core import (
     ActiveSubspace,
     Hyperrectangle,
@@ -358,9 +360,10 @@ class TestFacetCuts:
         a = data.draw(st.integers(2, min(4, d)), label="a")
         rd = self._domain(d, a, seed)
         statuses = []
+        fibre_solve = geometry.lp_solve
 
         def counting(lp):
-            sol = lp_solve(lp)
+            sol = fibre_solve(lp)
             statuses.append(sol.status)
             return sol
 
@@ -407,3 +410,28 @@ class TestFacetCuts:
                     continue
                 assert delta > 0
                 assert lp_solve(geometry._feasibility_lp(rd, t)).status is LpStatus.INFEASIBLE
+
+
+class TestFibreSolveAgreesWithHighs:
+    """Every draw the sampler sends to the fibre solve on an elliptic subspace gets HiGHS's status."""
+
+    def test_pde_subspace_design(self, tmp_path):
+        # the subspace of the pde-c10 benchmark workload (d=50, k=100, a=5)
+        cfg = ExperimentConfig(model="pde", pde_n=33, pde_d=50, k=100, a="5")
+        cmd_detect(cfg, tmp_path, seed=1)
+        sub = read_subspace(tmp_path / "subspace.bin")
+        rd = build_reduced_domain(sub, Hyperrectangle.cube(50, 2.0))
+        fibre_solve = geometry.lp_solve
+        pairs = []
+
+        def both(lp):
+            sol = fibre_solve(lp)
+            pairs.append((sol.status, lp_solve(lp).status))
+            return sol
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "lp_solve", both)
+            _, stats = build_reduced_design(rd, 300, make_rng(65))
+        assert len(pairs) == stats.lp_calls > 100
+        assert [ours for ours, _ in pairs] == [highs for _, highs in pairs]
+        assert LpStatus.INFEASIBLE in {ours for ours, _ in pairs}

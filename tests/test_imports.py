@@ -1,10 +1,11 @@
 """A run loads only the scipy subpackages it uses.
 
 Importing gradspace loads none; the elliptic model loads scipy.linalg when
-it is built, and the sampler loads scipy.optimize at its first LP. Detect
-completes a basis from fewer samples than dimensions in numpy alone. Each
-check runs in a fresh interpreter, since this one has long since imported
-all of them.
+it is built. The sampler decides and lifts its draws in numpy, so a run
+loads scipy.optimize only if a program reaches the fibre solve's iteration
+cap. Detect completes a basis from fewer samples than dimensions in numpy
+alone. Each check runs in a fresh interpreter, since this one has long since
+imported all of them.
 """
 
 import json
@@ -49,6 +50,13 @@ def test_completion_pipeline_loads_no_scipy_subpackage(tmp_path):
 def test_elliptic_detect_loads_only_scipy_linalg(tmp_path):
     config = "model = pde\npde_n = 6\npde_d = 8\nk = 20\na = 2\n"
     assert _heavy_loaded_after(_cli_call(tmp_path, "detect", config)) == {"scipy.linalg"}
+
+
+def test_elliptic_pipeline_with_fibre_solves_loads_only_scipy_linalg(tmp_path):
+    config = "model = pde\npde_n = 6\npde_d = 8\nk = 20\na = 3\nn_design = 20\neval_points = 50\n"
+    loaded = _heavy_loaded_after(_cli_call(tmp_path, "pipeline", config))
+    assert json.loads((tmp_path / "out" / "sampler_stats.json").read_text())["lp_calls"] > 0
+    assert loaded == {"scipy.linalg"}
 
 
 def test_analytic_detect_with_fewer_samples_than_dimensions_loads_no_scipy_subpackage(tmp_path):

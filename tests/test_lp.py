@@ -1,22 +1,26 @@
-"""Tests for the box-constrained LP solver, which hands every program to HiGHS.
+"""Tests for the box-constrained LP solver, which hands programs to HiGHS, and
+for the numpy fibre solve that decides feasibility programs.
 
 Brute-force vertex enumeration is the oracle for small random programs; the
 near-boundary probes check the tolerance contract where HiGHS is most
-likely to misjudge feasibility.
+likely to misjudge feasibility. The fibre solve must give HiGHS's status
+and the fibre's least-norm point.
 """
 
+import dataclasses
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradspace.cli import cmd_detect, read_subspace
 from gradspace.config import ExperimentConfig
 from gradspace.core import Hyperrectangle
-from gradspace.lp import LinearProgram, LpStatus, solve
+from gradspace import lp as lp_module
+from gradspace.lp import LinearProgram, LpStatus, least_norm_point, solve
 from gradspace.util import make_rng
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -28,7 +32,7 @@ def enumerate_vertices(A, r, box, tol=1e-9):
     At a vertex, all but `a` coordinates sit at a bound, and the free block of
     A must be invertible. Subsets with a singular free block are skipped: any
     vertex they would describe also appears through a nonsingular subset for
-    generic data.
+    generic data. Each subset solves for all of its bound patterns at once.
     """
     a, d = A.shape
     vertices = []
@@ -37,14 +41,13 @@ def enumerate_vertices(A, r, box, tol=1e-9):
         if abs(np.linalg.det(M)) < 1e-12:
             continue
         clamped = [j for j in range(d) if j not in free]
-        for bits in product((0, 1), repeat=d - a):
-            s = np.empty(d)
-            for j, bit in zip(clamped, bits):
-                s[j] = box.upper[j] if bit else box.lower[j]
-            rhs = r - A[:, clamped] @ s[clamped] if clamped else r.copy()
-            s[list(free)] = np.linalg.solve(M, rhs)
-            if box.contains(s, tol=tol):
-                vertices.append(s)
+        upper = np.array(list(product((False, True), repeat=d - a)), dtype=bool)
+        s = np.empty((len(upper), d))
+        s[:, clamped] = np.where(upper, box.upper[clamped], box.lower[clamped])
+        rhs = r[:, None] - A[:, clamped] @ s[:, clamped].T
+        s[:, list(free)] = np.linalg.solve(M, rhs).T
+        inside = np.all((s >= box.lower - tol) & (s <= box.upper + tol), axis=1)
+        vertices.extend(s[inside])
     return vertices
 
 
@@ -241,7 +244,9 @@ class TestNearBoundary:
 
     DELTAS = (-1e-8, -1e-10, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7)
 
-    def test_probes_around_support_points(self):
+    @classmethod
+    def probes(cls):
+        """(program, delta) around 20 support points of the zonotope."""
         rng = make_rng(35)
         d, a = 50, 5
         box = Hyperrectangle.cube(d, 2.0)
@@ -250,17 +255,95 @@ class TestNearBoundary:
             u = rng.standard_normal(a)
             # a vertex of the zonotope maximizing u^T t, pushed out along u by delta
             support = Va.T @ (2.0 * np.sign(Va @ u))
-            for delta in self.DELTAS:
+            for delta in cls.DELTAS:
                 t = support + delta * u / np.linalg.norm(u)
-                sol = solve(LinearProgram(np.zeros(d), box, Va.T, t))  # never raises
-                if sol.status is LpStatus.OPTIMAL:
-                    assert box.contains(sol.point, tol=0.0)
-                    resid = np.max(np.abs(Va.T @ sol.point - t))
-                    assert resid <= 1e-8 * (1.0 + np.linalg.norm(t))
-                if delta == -1e-8:
-                    assert sol.status is LpStatus.OPTIMAL
-                if delta == 1e-7:
-                    assert sol.status is LpStatus.INFEASIBLE
+                yield LinearProgram(np.zeros(d), box, Va.T, t), delta
+
+    @classmethod
+    def check(cls, solver, resid_tol):
+        for lp, delta in cls.probes():
+            sol = solver(lp)  # never raises
+            if sol.status is LpStatus.OPTIMAL:
+                assert lp.box.contains(sol.point, tol=0.0)
+                resid = np.max(np.abs(lp.eq_matrix @ sol.point - lp.eq_rhs))
+                assert resid <= resid_tol * (1.0 + np.linalg.norm(lp.eq_rhs))
+            if delta == -1e-8:
+                assert sol.status is LpStatus.OPTIMAL
+            if delta == 1e-7:
+                assert sol.status is LpStatus.INFEASIBLE
+
+    def test_probes_around_support_points(self):
+        self.check(solve, 1e-8)
+
+    def test_least_norm_point_probes(self):
+        self.check(least_norm_point, 1e-12)
+
+
+class TestLeastNormPoint:
+    """The fibre solve decides as HiGHS does and lifts to the fibre's least-norm point."""
+
+    @staticmethod
+    def _program(d, a, feasible, seed):
+        rng = make_rng(seed)
+        w = rng.uniform(0.5, 2.0, d)
+        box = Hyperrectangle(-w, w)
+        A = rng.standard_normal((a, d))
+        if feasible:
+            r = A @ box.sample(rng, 1)[0]
+        else:  # up to 1.5 times the support of Z along each row: may be reachable
+            r = rng.uniform(-1.5, 1.5, a) * (np.abs(A) @ w)
+        return LinearProgram(np.zeros(d), box, A, r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(3, 12),
+        a=st.integers(1, 4),
+        feasible=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_programs_against_solve_and_enumeration(self, d, a, feasible, seed):
+        assume(a <= d)
+        lp = self._program(d, a, feasible, seed)
+        sol = least_norm_point(lp)
+        assert sol.status is solve(lp).status
+        assert sol.status is brute_force(lp.objective, lp.eq_matrix, lp.eq_rhs, lp.box)[0]
+        if sol.status is LpStatus.OPTIMAL:
+            assert lp.box.contains(sol.point, tol=0.0)
+            resid = np.max(np.abs(lp.eq_matrix @ sol.point - lp.eq_rhs))
+            assert resid <= 1e-12 * (1.0 + np.linalg.norm(lp.eq_rhs))
+
+    def test_no_vertex_is_shorter(self):
+        rng = make_rng(37)
+        for seed in range(20):
+            lp = self._program(int(rng.integers(3, 13)), int(rng.integers(1, 4)), True, seed)
+            shortest = np.linalg.norm(least_norm_point(lp).point)
+            for _ in range(10):
+                c = rng.standard_normal(lp.box.dimension)
+                point = solve(dataclasses.replace(lp, objective=c)).point
+                assert np.linalg.norm(point) >= shortest - 1e-12
+
+    def test_rejects_an_objective(self):
+        lp = self._program(4, 2, True, seed=38)
+        with pytest.raises(ValueError, match="zero objective"):
+            least_norm_point(dataclasses.replace(lp, objective=np.ones(4)))
+
+    def test_program_unsettled_at_the_cap_goes_to_solve(self, monkeypatch):
+        # a point 1e-8 inside a vertex of the zonotope takes several Newton steps
+        lp = next(lp for lp, delta in TestNearBoundary.probes() if delta == -1e-8)
+        sent = []
+
+        def recording(program):
+            sent.append(program)
+            return solve(program)
+
+        monkeypatch.setattr(lp_module, "solve", recording)
+        assert least_norm_point(lp).status is LpStatus.OPTIMAL
+        assert sent == []
+        monkeypatch.setattr(lp_module, "_NEWTON_CAP", 1)
+        sol = least_norm_point(lp)
+        assert sent == [lp]
+        assert sol.status is LpStatus.OPTIMAL
+        np.testing.assert_array_equal(sol.point, solve(lp).point)
 
 
 class TestUnknownStatusResolve:
