@@ -1,7 +1,7 @@
 """Experiment configuration: a flat `key = value` text format.
 
 Grammar: one `key = value` pair per line; `#` starts a comment; blank lines
-are ignored. Unknown keys are rejected so typos fail loudly.
+are ignored. Unknown and repeated keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -169,6 +169,7 @@ def _parse_value(key: str, text: str, kind):
 def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     types = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
+    seen: dict[str, int] = {}  # key -> line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -179,6 +180,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key '{key}' already given on line {seen[key]}")
+        seen[key] = lineno
         if key == "a":  # stored as text: either "auto" or an integer
             setattr(cfg, key, value)
         else:

@@ -8,16 +8,17 @@ the left, top, and bottom edges, zero Neumann flux on the right edge. The
 scalar output is the average of the solution over the cells along the right
 edge, and its full parameter gradient comes from one extra (adjoint) solve.
 
-Cells are numbered in the natural ordering iy*n + ix, under which the
-operator is symmetric positive definite with bandwidth n. It is assembled
-straight into LAPACK lower banded storage and factored by a banded Cholesky
-(`scipy.linalg.cholesky_banded`); the forward and adjoint solves share one
-factor.
+Cells are numbered iy*n + ix, so a cell field reshapes to an (n, n) grid
+and the faces of each orientation pair two shifted slices of it. Under this
+ordering the operator is symmetric positive definite with bandwidth n. It is
+assembled from those slices straight into LAPACK lower banded storage and
+factored by a banded Cholesky (`scipy.linalg.cholesky_banded`); the forward
+and adjoint solves share one factor, and each solution's residual is checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -36,6 +37,10 @@ __all__ = [
 ]
 
 _RESID_TOL = 1e-10
+# (low cell, high cell) slices of the (n, n) cell grid: x faces, then y faces
+_FACES = ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1], np.s_[1:]))
+# cells with a Dirichlet face: left column, bottom row, top row (right edge is Neumann)
+_DIRICHLET = (np.s_[:, 0], np.s_[0], np.s_[-1])
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,6 @@ class PdeModel:
     parameter_box: Hyperrectangle
     qoi_weights: np.ndarray  # (N,) zero except the right-edge cells, summing to one
     rhs: np.ndarray  # (N,) source integrated per cell
-    # face bookkeeping: interior faces (pair of cells) and Dirichlet faces (one cell)
-    face_p: np.ndarray = field(repr=False, default=None)
-    face_q: np.ndarray = field(repr=False, default=None)
-    dirichlet_cells: np.ndarray = field(repr=False, default=None)
 
     @property
     def cell_count(self) -> int:
@@ -106,25 +107,6 @@ class PdeModel:
     @property
     def parameter_dimension(self) -> int:
         return self.kl.truncation
-
-
-def _faces(n: int):
-    ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-
-    def flat(i, j):
-        return (j * n + i).ravel()
-
-    p = np.concatenate([flat(ix[:, :-1], iy[:, :-1]), flat(ix[:-1, :], iy[:-1, :])])
-    q = np.concatenate([flat(ix[:, 1:], iy[:, 1:]), flat(ix[1:, :], iy[1:, :])])
-    # Dirichlet closures: left column, bottom row, top row (right edge is Neumann)
-    dval = np.concatenate(
-        [
-            np.arange(n) * n,
-            np.arange(n),
-            (n - 1) * n + np.arange(n),
-        ]
-    )
-    return p, q, dval
 
 
 def make_pde_model(
@@ -138,18 +120,14 @@ def make_pde_model(
         raise ValueError("need at least 2 cells per side")
     kl = build_kl(n, d, rho)
     h = 1.0 / n
-    c = np.zeros(n * n)
-    c[np.arange(n) * n + (n - 1)] = 1.0 / n  # right-edge cells, weights sum to one
-    p, q, dval = _faces(n)
+    c = np.zeros((n, n))
+    c[:, -1] = 1.0 / n  # right-edge cells, weights sum to one
     return PdeModel(
         n=n,
         kl=kl,
         parameter_box=Hyperrectangle.cube(d, box_half_width),
-        qoi_weights=c,
+        qoi_weights=c.ravel(),
         rhs=np.full(n * n, h * h),
-        face_p=p,
-        face_q=q,
-        dirichlet_cells=dval,
     )
 
 
@@ -167,20 +145,23 @@ def coefficient_field(model: PdeModel, s) -> np.ndarray:
 def _assemble(model: PdeModel, alpha: np.ndarray) -> np.ndarray:
     """Lower banded storage (n+1, N) of the operator: ab[k, j] = K[j+k, j].
 
-    Under the natural ordering a horizontal face couples cells j and j+1
-    (row 1) and a vertical face couples j and j+n (row n); rows 2..n-1 stay
-    zero. The faces from `_faces` list the horizontal ones first.
+    Under the natural ordering an x face couples cells j and j+1 (row 1) and
+    a y face couples j and j+n (row n); rows 2..n-1 stay zero. The diagonal
+    is (low-cell sums + high-cell sums) + Dirichlet closures.
     """
-    p, q, dcells = model.face_p, model.face_q, model.dirichlet_cells
-    g = 2.0 * alpha[p] * alpha[q] / (alpha[p] + alpha[q])  # harmonic mean per face
-    gd = 2.0 * alpha[dcells]  # half-cell distance to the Dirichlet face
-    n, N = model.n, model.cell_count
-    horizontal = n * (n - 1)
-    ab = np.zeros((n + 1, N))
-    ab[0] = np.bincount(p, g, N) + np.bincount(q, g, N) + np.bincount(dcells, gd, N)
-    ab[1, p[:horizontal]] = -g[:horizontal]
-    ab[n, p[horizontal:]] = -g[horizontal:]
-    return ab
+    n = model.n
+    a = alpha.reshape(n, n)
+    ab = np.zeros((n + 1, n, n))
+    low, high, closure = np.zeros((3, n, n))
+    for row, (lo, hi) in zip((1, n), _FACES):
+        g = 2.0 * a[lo] * a[hi] / (a[lo] + a[hi])  # harmonic mean per face
+        low[lo] += g
+        high[hi] += g
+        ab[row][lo] = -g
+    for edge in _DIRICHLET:
+        closure[edge] += 2.0 * a[edge]  # half-cell distance to the Dirichlet face
+    ab[0] = low + high + closure
+    return ab.reshape(n + 1, n * n)
 
 
 def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -192,16 +173,6 @@ def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     y[:-n] += ab[n, :-n] * x[n:]
     y[n:] += ab[n, :-n] * x[:-n]
     return y
-
-
-def _factorize(model: PdeModel, s):
-    alpha = coefficient_field(model, s)
-    ab = _assemble(model, alpha)
-    try:
-        chol = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"system matrix is not positive definite: {exc}") from exc
-    return alpha, ab, chol
 
 
 def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,11 +189,22 @@ def _check_residual(ab, x, rhs):
         raise RuntimeError(f"linear solve residual {resid:.3e} exceeds {_RESID_TOL}")
 
 
+def _checked_solves(model: PdeModel, alpha: np.ndarray, *rhs: np.ndarray) -> list[np.ndarray]:
+    """Factor the operator once and return each right-hand side's checked solution."""
+    ab = _assemble(model, alpha)
+    try:
+        chol = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"system matrix is not positive definite: {exc}") from exc
+    solutions = [_solve(chol, b) for b in rhs]
+    for x, b in zip(solutions, rhs):
+        _check_residual(ab, x, b)
+    return solutions
+
+
 def solve_forward(model: PdeModel, s) -> np.ndarray:
     """Discrete solution at the cell centers for the given parameters."""
-    _, ab, chol = _factorize(model, s)
-    u = _solve(chol, model.rhs)
-    _check_residual(ab, u, model.rhs)
+    (u,) = _checked_solves(model, coefficient_field(model, s), model.rhs)
     return u
 
 
@@ -236,25 +218,29 @@ def gradient_q(model: PdeModel, s, return_value: bool = False):
 
     The derivative of the system matrix with respect to each parameter never
     gets assembled: the face-wise chain rule is accumulated into a single
-    per-cell vector, and one product with the eigenfunction matrix yields all
-    components at once.
+    per-cell vector psi, and one product with the eigenfunction matrix yields
+    all components at once. psi takes the low cells of the x and y faces,
+    then their high cells, then the Dirichlet closures: the order fixes the
+    rounding, and with it the bytes of every gradient written.
     """
-    alpha, ab, chol = _factorize(model, s)
-    u = _solve(chol, model.rhs)
-    y = _solve(chol, model.qoi_weights)
-    _check_residual(ab, u, model.rhs)
-    _check_residual(ab, y, model.qoi_weights)
+    alpha = coefficient_field(model, s)
+    u, y = _checked_solves(model, alpha, model.rhs, model.qoi_weights)
 
-    p, q, dcells = model.face_p, model.face_q, model.dirichlet_cells
-    wf = (y[p] - y[q]) * (u[p] - u[q])
-    denom = (alpha[p] + alpha[q]) ** 2
-    psi = np.zeros(model.cell_count)
-    np.add.at(psi, p, wf * 2.0 * alpha[q] ** 2 / denom)
-    np.add.at(psi, q, wf * 2.0 * alpha[p] ** 2 / denom)
-    np.add.at(psi, dcells, 2.0 * y[dcells] * u[dcells])
+    n = model.n
+    a, U, Y = (v.reshape(n, n) for v in (alpha, u, y))
+    faces = [
+        (lo, hi, (Y[lo] - Y[hi]) * (U[lo] - U[hi]), (a[lo] + a[hi]) ** 2) for lo, hi in _FACES
+    ]
+    psi = np.zeros((n, n))
+    for lo, hi, wf, denom in faces:
+        psi[lo] += wf * 2.0 * a[hi] ** 2 / denom
+    for lo, hi, wf, denom in faces:
+        psi[hi] += wf * 2.0 * a[lo] ** 2 / denom
+    for edge in _DIRICHLET:
+        psi[edge] += 2.0 * Y[edge] * U[edge]
 
     # d(alpha)/ds_i = phi_i * sqrt(sigma_i) * alpha, so one matvec covers all i
-    grad = -np.sqrt(model.kl.eigenvalues) * (model.kl.eigenfunctions.T @ (psi * alpha))
+    grad = -np.sqrt(model.kl.eigenvalues) * (model.kl.eigenfunctions.T @ (psi.ravel() * alpha))
     if return_value:
         return grad, qoi(model, u)
     return grad

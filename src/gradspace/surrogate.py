@@ -217,6 +217,13 @@ def load(path: str | Path) -> RbfSurrogate:
         shape, regularization = header["shape"], header["regularization"]
     except KeyError as exc:
         raise ValueError(f"bad surrogate model file {path}: header lacks {exc}") from exc
+    # NaN fails both comparisons; bool and str fail the type test
+    if not (type(shape) in (int, float) and 0 < shape < np.inf):
+        raise ValueError(f"bad surrogate model file {path}: shape {shape!r} is not finite and > 0")
+    if not (type(regularization) in (int, float) and 0 <= regularization < np.inf):
+        raise ValueError(
+            f"bad surrogate model file {path}: regularization {regularization!r} is not finite and >= 0"
+        )
     return RbfSurrogate(
         centers=centers,
         weights=weights,

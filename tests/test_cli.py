@@ -51,6 +51,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("modle = cos2")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"line 3: key 'k' already given on line 1"):
+            parse_config("k = 20\nmodel = cos2\nk = 30")
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("k = 20\nk = 30\n")
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'k'" in err and "line 2" in err and "line 1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("k = twelve")

@@ -1,6 +1,8 @@
 """Tests for the elliptic demonstration model and its adjoint gradient."""
 
+from dataclasses import fields
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradspace.core import Hyperrectangle
 from gradspace.models import pde
 from gradspace.models.pde import (
+    PdeModel,
     _assemble,
     build_kl,
     coefficient_field,
@@ -32,14 +36,23 @@ def small_model():
     return make_pde_model(n=17, d=10, rho=(1.0, 0.05))
 
 
+def _face_lists(n):
+    """Face index lists from the cell grid: (low, high) cells of the x faces, then
+    of the y faces, and the Dirichlet cells of the left, bottom and top edges."""
+    cells = np.arange(n * n).reshape(n, n)  # cells[iy, ix] = iy * n + ix
+    p = np.concatenate([cells[:, :-1].ravel(), cells[:-1].ravel()])
+    q = np.concatenate([cells[:, 1:].ravel(), cells[1:].ravel()])
+    return p, q, np.concatenate([cells[:, 0], cells[0], cells[-1]])
+
+
 def _dense_operator(model, alpha):
-    """Dense oracle assembled from the face arrays, independent of the banded layout.
+    """Dense oracle assembled from the cell grid's faces, independent of the banded layout.
 
     The contributions are grouped as in the solver's diagonal (both sides of
     the interior faces, then the Dirichlet closures), so the two agree
     exactly rather than to roundoff.
     """
-    p, q, dcells = model.face_p, model.face_q, model.dirichlet_cells
+    p, q, dcells = _face_lists(model.n)
     g = 2.0 * alpha[p] * alpha[q] / (alpha[p] + alpha[q])
     N = model.cell_count
     K = np.zeros((N, N))
@@ -236,6 +249,24 @@ class TestForwardSolve:
         u = solve_forward(model, s)
         np.testing.assert_allclose(u, np.linalg.solve(K, model.rhs), rtol=0, atol=1e-12)
 
+    def test_hand_built_model_solves(self):
+        # a model built field by field, not by make_pde_model, needs nothing else
+        n, d, h = 9, 5, 1.0 / 9
+        weights = np.zeros((n, n))
+        weights[:, -1] = h
+        model = PdeModel(
+            n=n,
+            kl=build_kl(n, d, (1.0, 0.05)),
+            parameter_box=Hyperrectangle.cube(d, 2.0),
+            qoi_weights=weights.ravel(),
+            rhs=np.full(n * n, h * h),
+        )
+        reference = make_pde_model(n=n, d=d)
+        s = make_rng(128).uniform(-2, 2, d)
+        np.testing.assert_array_equal(solve_forward(model, s), solve_forward(reference, s))
+        np.testing.assert_array_equal(gradient_q(model, s), gradient_q(reference, s))
+        assert [f.name for f in fields(PdeModel)] == ["n", "kl", "parameter_box", "qoi_weights", "rhs"]
+
 
 class TestSolveFailures:
     @pytest.fixture(scope="class")
@@ -329,3 +360,34 @@ class TestGradient:
         qm = qoi(model, solve_forward(model, np.array([t - h])))
         fd = (qp - qm) / (2 * h)
         assert grad[0] == pytest.approx(fd, rel=1e-4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), data=st.data())
+    def test_bytes_match_face_list_formula(self, n, data):
+        # oracle: the chain rule accumulated over face index lists with np.add.at
+        # (low cells, high cells, then Dirichlet cells), from the solver's own
+        # forward and adjoint solutions; equality is exact, so a change in the
+        # summation order shows
+        model = _grid_model(n)
+        d = model.parameter_dimension
+        s = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+        solutions = {}
+        solve = pde._solve
+
+        def recording_solve(chol, b):
+            solutions["y" if b is model.qoi_weights else "u"] = x = solve(chol, b)
+            return x
+
+        with mock.patch.object(pde, "_solve", recording_solve):
+            grad = gradient_q(model, s)
+        u, y = solutions["u"], solutions["y"]
+        alpha = coefficient_field(model, s)
+        p, q, dcells = _face_lists(n)
+        wf = (y[p] - y[q]) * (u[p] - u[q])
+        denom = (alpha[p] + alpha[q]) ** 2
+        psi = np.zeros(model.cell_count)
+        np.add.at(psi, p, wf * 2.0 * alpha[q] ** 2 / denom)
+        np.add.at(psi, q, wf * 2.0 * alpha[p] ** 2 / denom)
+        np.add.at(psi, dcells, 2.0 * y[dcells] * u[dcells])
+        expected = -np.sqrt(model.kl.eigenvalues) * (model.kl.eigenfunctions.T @ (psi * alpha))
+        np.testing.assert_array_equal(grad, expected)

@@ -346,6 +346,26 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match=f"bad surrogate model file {re.escape(str(path))}"):
             load(path)
 
+    @pytest.mark.parametrize(
+        "scalars",
+        [
+            {"shape": 0.0, "regularization": 1e-10},
+            {"shape": float("nan"), "regularization": 1e-10},
+            {"shape": -1.0, "regularization": 1e-10},
+            {"shape": "abc", "regularization": 1e-10},
+            {"shape": 1.0, "regularization": -1e-10},
+            {"shape": 1.0, "regularization": float("inf")},
+        ],
+        ids=["zero-shape", "nan-shape", "negative-shape", "text-shape",
+             "negative-regularization", "inf-regularization"],
+    )
+    def test_bad_header_scalar_names_path(self, tmp_path, scalars):
+        path = tmp_path / "model.bin"
+        arrays = [np.ones((3, 2)), np.ones(3), np.ones(3)]
+        write_container(path, b"GRBF0002", {"n": 3, "a": 2, **scalars}, arrays)
+        with pytest.raises(ValueError, match=f"bad surrogate model file {re.escape(str(path))}"):
+            load(path)
+
     def test_old_format_refused(self, tmp_path):
         # the earlier layout, whose header also carried an unread metadata dict
         path = tmp_path / "model.bin"
