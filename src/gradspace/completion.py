@@ -37,6 +37,8 @@ class RevealedEntries:
         d, k = self.shape
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise ValueError("rows, cols, values must be equal-length 1-d arrays")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("revealed values contain non-finite entries")
         if rows.size and (rows.min() < 0 or rows.max() >= d or cols.min() < 0 or cols.max() >= k):
             raise ValueError("revealed index out of range")
         flat = rows * k + cols

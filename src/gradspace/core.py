@@ -83,6 +83,8 @@ class Hyperrectangle:
 
     def contains(self, point, tol: float = 0.0) -> bool:
         p = np.asarray(point, dtype=float)
+        if p.shape != self.lower.shape:
+            raise ValueError(f"point of shape {p.shape} given to a box of dimension {self.dimension}")
         return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
 
     def is_origin_centered(self, tol: float = 1e-9) -> bool:

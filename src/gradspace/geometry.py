@@ -7,8 +7,8 @@ enclosing box and keeps a point t when one routine, `_classify`, finds a
 full-space point over it: first the back-projection V_a t if it lies in the
 box; otherwise, unless a facet cut of Z proves t outside, the least-norm
 point of the fibre {s in box : V_a^T s = t}, which `lp.least_norm_point`
-finds in numpy or proves absent (a program it cannot settle goes on to
-HiGHS). `membership`, `lift` and the sampler all decide through that routine.
+finds from (box, V_a^T, t) in numpy or proves absent (HiGHS settles what it
+cannot). `membership`, `lift` and the sampler all decide through it.
 Z's facets lie on the hyperplanes spanned by a-1 generators (Ziegler,
 Lectures on Polytopes, 7.3), so the cuts from every (a-1)-subset of them are
 Z's H-representation; at most _MAX_CUTS are kept, from the longest rows.
@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .core import ActiveSubspace, Hyperrectangle
-from .lp import LinearProgram, LpStatus
+from .lp import LpStatus
 # bound as lp_solve: perfbench/traced.py times the lp layer through this name
 from .lp import least_norm_point as lp_solve
 
@@ -149,16 +149,6 @@ def _outside_cuts(domain: ReducedDomain, t: np.ndarray) -> bool:
     return bool(np.any(np.abs(domain.cut_normals @ t) > domain.cut_limits))
 
 
-def _feasibility_lp(domain: ReducedDomain, t: np.ndarray) -> LinearProgram:
-    # a feasibility program: least_norm_point takes only a zero objective
-    return LinearProgram(
-        objective=np.zeros(domain.full_domain.dimension),
-        box=domain.full_domain,
-        eq_matrix=domain.subspace.basis_a.T,
-        eq_rhs=t,
-    )
-
-
 def _classify(
     domain: ReducedDomain, t: np.ndarray
 ) -> tuple[MembershipKind, np.ndarray | None, bool]:
@@ -169,7 +159,7 @@ def _classify(
         return MembershipKind.DIRECTLY_INSIDE, s, False
     if _outside_cuts(domain, t):
         return MembershipKind.OUTSIDE, None, False
-    sol = lp_solve(_feasibility_lp(domain, t))
+    sol = lp_solve(domain.full_domain, np.ascontiguousarray(Va.T), t)
     if sol.status is LpStatus.INFEASIBLE:
         return MembershipKind.OUTSIDE, None, True
     s = sol.point

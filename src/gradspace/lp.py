@@ -1,4 +1,4 @@
-"""Linear programming over box bounds with optional equality rows.
+"""Linear programming over box bounds with equality rows, and the fibre solve.
 
 `solve` hands a program to scipy's HiGHS, the dual revised simplex of
 Huangfu & Hall, with its primal feasibility tolerance pinned to FEAS_TOL so
@@ -8,12 +8,12 @@ box, stepped onto the rows by least norm on its interior coordinates, and
 clipped again, which binds only if no exact point exists. It serves any
 objective, and scipy.optimize loads at its first call.
 
-`least_norm_point` decides a feasibility program (zero objective) in numpy
-alone: a semismooth Newton method (Qi & Sun, Math. Programming 58, 1993) on
-the dual of the least-norm problem over the fibre {s in box : A s = t}
-either lifts t to that fibre's least-norm point or proves it unreachable.
-The sampler decides its draws this way; a program that neither proof
-settles within _NEWTON_CAP steps goes to `solve`.
+`least_norm_point(box, A, t)` decides the fibre {s in box : A s = t} in
+numpy alone: a semismooth Newton method (Qi & Sun, Math. Programming 58,
+1993) on the dual of the least-norm problem either lifts t to the fibre's
+least-norm point or proves the fibre empty. The sampler decides its draws
+this way, with no program object; a fibre that neither proof settles
+within _NEWTON_CAP steps goes to `solve` as a zero-objective program.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ import numpy as np
 
 from .core import Hyperrectangle
 
-__all__ = ["LinearProgram", "LpSolution", "LpStatus", "least_norm_point", "solve"]
+__all__ = ["LinearProgram", "LpSolution", "LpStatus", "solve"]
 
 FEAS_TOL = 1e-9
-_NEWTON_CAP = 50  # steps before least_norm_point hands a program to solve
+_NEWTON_CAP = 50  # steps before least_norm_point hands a fibre to solve
 
 
 class LpStatus(Enum):
@@ -112,36 +112,33 @@ def solve(lp: LinearProgram) -> LpSolution:
     return LpSolution(LpStatus.OPTIMAL, point, float(lp.objective @ point))
 
 
-def least_norm_point(lp: LinearProgram) -> LpSolution:
-    """The least-norm point of the fibre {s in box : eq_matrix s = eq_rhs}, or INFEASIBLE.
+def least_norm_point(box: Hyperrectangle, A: np.ndarray, t: np.ndarray) -> LpSolution:
+    """The least-norm point of the fibre {s in box : A s = t}, or INFEASIBLE.
 
-    Takes a feasibility program (zero objective). Semismooth Newton on the
-    dual, min_u F(u) = sum_j phi_j((A^T u)_j) - t^T u with
-    phi_j(z) = z c - c^2 / 2 and c = clip(z, lower_j, upper_j): F is convex
-    and piecewise quadratic with gradient A clip(A^T u) - t, and where it
-    is minimized s = clip(A^T u) is the least-norm point. Each step solves
-    the system of the coordinates strictly inside the box. It stops on a
-    proof: OPTIMAL when s meets the rows to 1e-12 (1 + ||t||_inf), or
-    INFEASIBLE when u separates t from the image of the box by more than
-    that tolerance times ||u||_1. A program settled by neither within
-    _NEWTON_CAP steps goes to `solve` and gets its answer. Sampler draws
-    take at most 15 steps; only points next to the image's boundary reach
-    the cap, such as its exact vertices or, at d = 250, a vertex scaled by
-    1 - 1e-6, where the many short rows of A round the vertex off.
+    A must be a C-ordered (a, d) array of finite rows with a <= d and d the
+    box dimension, and t a finite vector of length a; neither is checked
+    here. Semismooth Newton on the dual, min_u F(u) = sum_j
+    phi_j((A^T u)_j) - t^T u with phi_j(z) = z c - c^2 / 2 and
+    c = clip(z, lower_j, upper_j): F is convex and piecewise quadratic with
+    gradient A clip(A^T u) - t, and where it is minimized s = clip(A^T u)
+    is the least-norm point. Each step solves the system of the coordinates
+    strictly inside the box. It stops on a proof: OPTIMAL when s meets the
+    rows to 1e-12 (1 + ||t||_inf), or INFEASIBLE when u separates t from
+    the image of the box by more than that tolerance times ||u||_1. A fibre
+    settled by neither within _NEWTON_CAP steps goes to `solve` as a
+    zero-objective program and gets its answer. Sampler draws take at most
+    15 steps; only points next to the image's boundary reach the cap, such
+    as its exact vertices or, at d = 250, a vertex scaled by 1 - 1e-6,
+    where the many short rows of A round the vertex off.
     """
-    if np.any(lp.objective):
-        raise ValueError("least_norm_point takes a feasibility program (zero objective)")
-    lo, hi = lp.box.lower, lp.box.upper
-    A, t = lp.eq_matrix, lp.eq_rhs
-    if A is None:
-        A, t = np.empty((0, lo.size)), np.empty(0)
+    lo, hi = box.lower, box.upper
     tol = 1e-12 * (1.0 + np.max(np.abs(t), initial=0.0))
     ridge = 1e-14 * np.einsum("ij,ij->", A, A) * np.eye(len(t))
     u = np.linalg.solve(A @ A.T + ridge, t)  # u = t for orthonormal rows
     z, s, g, f = _dual(A, t, lo, hi, u)
     for _ in range(_NEWTON_CAP):
         if np.max(np.abs(g), initial=0.0) <= tol:
-            return LpSolution(LpStatus.OPTIMAL, s, 0.0)
+            return LpSolution(LpStatus.OPTIMAL, s)
         if u @ t - np.sum(np.maximum(lo * z, hi * z)) > tol * np.sum(np.abs(u)):
             return LpSolution(LpStatus.INFEASIBLE)
         free = A[:, (z > lo) & (z < hi)]
@@ -156,7 +153,7 @@ def least_norm_point(lp: LinearProgram) -> LpSolution:
             du *= step
         u = u + du
         z, s, g, f = trial
-    return solve(lp)
+    return solve(LinearProgram(np.zeros(lo.size), box, A, t))
 
 
 def _dual(A, t, lo, hi, u):

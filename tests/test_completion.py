@@ -122,6 +122,12 @@ class TestRevealUniform:
         with pytest.raises(ValueError, match="out of range"):
             RevealedEntries((2, 2), np.array([2]), np.array([0]), np.ones(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        values = np.array([1.0, bad, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            RevealedEntries((2, 2), np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), values)
+
 
 class TestSvtComplete:
     def test_fully_revealed_rank_one(self):

@@ -1,5 +1,7 @@
 """Tests for subspace detection from gradient samples."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,12 @@ class TestHyperrectangle:
         box = Hyperrectangle.cube(4, 2.0)
         pts = box.sample(make_rng(1), 1000)
         assert np.all(pts >= box.lower) and np.all(pts <= box.upper)
+
+    @pytest.mark.parametrize("point", [[0.5], [0.5, 0.5]])
+    def test_contains_rejects_a_point_of_the_wrong_shape(self, point):
+        message = f"shape {(len(point),)} given to a box of dimension 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Hyperrectangle.cube(3, 1.0).contains(point)
 
 
 class TestEstimateCHat:
@@ -341,6 +349,12 @@ class TestFiniteDifferenceJacobian:
         box = Hyperrectangle.cube(1, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
             finite_difference_jacobian(lambda s: np.nan, box, np.zeros(1))
+
+    @pytest.mark.parametrize("point", [[0.2], [0.2, 0.2]])
+    def test_rejects_a_point_of_the_wrong_length(self, point):
+        message = f"shape {(len(point),)} given to a box of dimension 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            finite_difference_jacobian(lambda s: s[0], Hyperrectangle.cube(3, 1.0), point)
 
 
 class TestEigenvalueIdentity:

@@ -25,7 +25,7 @@ from gradspace.geometry import (
     lift,
     membership,
 )
-from gradspace.lp import LpSolution, LpStatus
+from gradspace.lp import LinearProgram, LpSolution, LpStatus
 from gradspace.lp import solve as lp_solve
 from gradspace.util import make_rng
 
@@ -299,8 +299,8 @@ class TestClassifierGuards:
     """A bad LP answer raises from every entry point instead of being counted as a rejection."""
 
     @staticmethod
-    def _outside_box_point(lp):
-        return LpSolution(LpStatus.OPTIMAL, np.full(lp.box.dimension, 10.0), 0.0)
+    def _outside_box_point(box, A, t):
+        return LpSolution(LpStatus.OPTIMAL, np.full(box.dimension, 10.0))
 
     @pytest.fixture
     def domain(self):
@@ -362,8 +362,8 @@ class TestFacetCuts:
         statuses = []
         fibre_solve = geometry.lp_solve
 
-        def counting(lp):
-            sol = fibre_solve(lp)
+        def counting(box, A, t):
+            sol = fibre_solve(box, A, t)
             statuses.append(sol.status)
             return sol
 
@@ -409,7 +409,8 @@ class TestFacetCuts:
                     assert delta < 1e-7  # the cut's slack stays below 1e-7
                     continue
                 assert delta > 0
-                assert lp_solve(geometry._feasibility_lp(rd, t)).status is LpStatus.INFEASIBLE
+                program = LinearProgram(np.zeros(d), rd.full_domain, Va.T, t)
+                assert lp_solve(program).status is LpStatus.INFEASIBLE
 
 
 class TestFibreSolveAgreesWithHighs:
@@ -424,9 +425,9 @@ class TestFibreSolveAgreesWithHighs:
         fibre_solve = geometry.lp_solve
         pairs = []
 
-        def both(lp):
-            sol = fibre_solve(lp)
-            pairs.append((sol.status, lp_solve(lp).status))
+        def both(box, A, t):
+            sol = fibre_solve(box, A, t)
+            pairs.append((sol.status, lp_solve(LinearProgram(np.zeros(50), box, A, t)).status))
             return sol
 
         with pytest.MonkeyPatch.context() as mp:
@@ -435,3 +436,34 @@ class TestFibreSolveAgreesWithHighs:
         assert len(pairs) == stats.lp_calls > 100
         assert [ours for ours, _ in pairs] == [highs for _, highs in pairs]
         assert LpStatus.INFEASIBLE in {ours for ours, _ in pairs}
+
+
+class TestFibreSolveSeam:
+    """The fibre solve takes the sampler's rows directly: no draw builds a LinearProgram."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        programs = []
+        post_init = LinearProgram.__post_init__
+
+        def counting(program):
+            programs.append(program)
+            post_init(program)
+
+        monkeypatch.setattr(LinearProgram, "__post_init__", counting)
+        return programs
+
+    def test_sampler_builds_no_program(self, built):
+        rd = build_reduced_domain(random_subspace(50, 5, seed=66), Hyperrectangle.cube(50, 2.0))
+        _, stats = build_reduced_design(rd, 100, make_rng(67))
+        assert stats.lp_calls > 0
+        assert len(built) == 0
+
+    def test_lift_and_membership_build_no_program(self, built):
+        rd = build_reduced_domain(random_subspace(50, 5, seed=66), Hyperrectangle.cube(50, 1.0))
+        Va = rd.subspace.basis_a
+        t = Va.T @ (0.9 * np.sign(Va[:, 0]))  # liftable, with its back-projection outside
+        assert not rd.full_domain.contains(Va @ t, tol=1e-9)
+        assert membership(rd, t) is MembershipKind.LIFTABLE_INSIDE
+        assert rd.full_domain.contains(lift(rd, t), tol=1e-9)
+        assert len(built) == 0

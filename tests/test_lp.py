@@ -1,10 +1,11 @@
 """Tests for the box-constrained LP solver, which hands programs to HiGHS, and
-for the numpy fibre solve that decides feasibility programs.
+for the numpy fibre solve, which takes a box, rows and right-hand side.
 
 Brute-force vertex enumeration is the oracle for small random programs; the
 near-boundary probes check the tolerance contract where HiGHS is most
-likely to misjudge feasibility. The fibre solve must give HiGHS's status
-and the fibre's least-norm point.
+likely to misjudge feasibility. The fibre solve must give the status that
+HiGHS gives the same rows as a zero-objective program, and the fibre's
+least-norm point.
 """
 
 import dataclasses
@@ -49,6 +50,11 @@ def enumerate_vertices(A, r, box, tol=1e-9):
         inside = np.all((s >= box.lower - tol) & (s <= box.upper + tol), axis=1)
         vertices.extend(s[inside])
     return vertices
+
+
+def fibre_solve(lp):
+    """The fibre solve on a zero-objective program's box, rows and right-hand side."""
+    return least_norm_point(lp.box, lp.eq_matrix, lp.eq_rhs)
 
 
 def brute_force(c, A, r, box):
@@ -276,7 +282,7 @@ class TestNearBoundary:
         self.check(solve, 1e-8)
 
     def test_least_norm_point_probes(self):
-        self.check(least_norm_point, 1e-12)
+        self.check(fibre_solve, 1e-12)
 
 
 class TestLeastNormPoint:
@@ -304,7 +310,7 @@ class TestLeastNormPoint:
     def test_random_programs_against_solve_and_enumeration(self, d, a, feasible, seed):
         assume(a <= d)
         lp = self._program(d, a, feasible, seed)
-        sol = least_norm_point(lp)
+        sol = fibre_solve(lp)
         assert sol.status is solve(lp).status
         assert sol.status is brute_force(lp.objective, lp.eq_matrix, lp.eq_rhs, lp.box)[0]
         if sol.status is LpStatus.OPTIMAL:
@@ -316,16 +322,11 @@ class TestLeastNormPoint:
         rng = make_rng(37)
         for seed in range(20):
             lp = self._program(int(rng.integers(3, 13)), int(rng.integers(1, 4)), True, seed)
-            shortest = np.linalg.norm(least_norm_point(lp).point)
+            shortest = np.linalg.norm(fibre_solve(lp).point)
             for _ in range(10):
                 c = rng.standard_normal(lp.box.dimension)
                 point = solve(dataclasses.replace(lp, objective=c)).point
                 assert np.linalg.norm(point) >= shortest - 1e-12
-
-    def test_rejects_an_objective(self):
-        lp = self._program(4, 2, True, seed=38)
-        with pytest.raises(ValueError, match="zero objective"):
-            least_norm_point(dataclasses.replace(lp, objective=np.ones(4)))
 
     def test_program_unsettled_at_the_cap_goes_to_solve(self, monkeypatch):
         # a point 1e-8 inside a vertex of the zonotope takes several Newton steps
@@ -337,11 +338,15 @@ class TestLeastNormPoint:
             return solve(program)
 
         monkeypatch.setattr(lp_module, "solve", recording)
-        assert least_norm_point(lp).status is LpStatus.OPTIMAL
+        assert fibre_solve(lp).status is LpStatus.OPTIMAL
         assert sent == []
         monkeypatch.setattr(lp_module, "_NEWTON_CAP", 1)
-        sol = least_norm_point(lp)
-        assert sent == [lp]
+        sol = fibre_solve(lp)
+        [fallback] = sent  # the same fibre as a zero-objective program
+        np.testing.assert_array_equal(fallback.objective, np.zeros(lp.box.dimension))
+        assert fallback.box is lp.box
+        np.testing.assert_array_equal(fallback.eq_matrix, lp.eq_matrix)
+        np.testing.assert_array_equal(fallback.eq_rhs, lp.eq_rhs)
         assert sol.status is LpStatus.OPTIMAL
         np.testing.assert_array_equal(sol.point, solve(lp).point)
 
