@@ -22,7 +22,6 @@ from .geometry import (
     lift,
     membership,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, solve
 from .surrogate import RbfConfig, RbfSurrogate, evaluate, fit, predict
 
 __version__ = "0.1.0"
@@ -31,9 +30,6 @@ __all__ = [
     "ActiveSubspace",
     "Hyperrectangle",
     "JacobianSamples",
-    "LinearProgram",
-    "LpSolution",
-    "LpStatus",
     "MembershipKind",
     "RbfConfig",
     "RbfSurrogate",
@@ -54,7 +50,6 @@ __all__ = [
     "membership",
     "predict",
     "reveal_uniform",
-    "solve",
     "subspace_distance",
     "suggest_truncation",
     "svt_complete",

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import completion, geometry, surrogate
 from .config import ConfigError, ExperimentConfig, load_config
@@ -432,7 +431,10 @@ def _numeric_environment() -> dict:
     """Library builds and thread settings that decide the output bytes at roundoff level.
 
     numpy and scipy each bundle their own BLAS; scipy's runs the PDE solves.
+    An analytic run imports scipy only here.
     """
+    import scipy
+
     blas = {}
     for lib in (np, scipy):
         build = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -73,10 +73,6 @@ class Hyperrectangle:
     def dimension(self) -> int:
         return self.lower.size
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
     def volume(self) -> float:
         """Lebesgue measure; +inf, with no warning, where it exceeds float64."""
         return math.prod((self.upper - self.lower).tolist(), start=1.0)
@@ -285,7 +281,11 @@ def suggest_truncation(eigenvalues) -> int:
 
 
 def subspace_distance(V1, V2) -> float:
-    """Spectral norm of the projector difference: the sine of the largest principal angle."""
+    """The sine of the largest principal angle, ||V2 - V1 (V1^T V2)||_2.
+
+    For orthonormal bases of equal width this equals the spectral norm of
+    the projector difference, from a d x a matrix instead of a d x d one.
+    """
     V1 = _as_array(V1, "V1")
     V2 = _as_array(V2, "V2")
     if V1.ndim == 1:
@@ -297,7 +297,9 @@ def subspace_distance(V1, V2) -> float:
     for name, V in (("V1", V1), ("V2", V2)):
         if np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) > 1e-8:
             raise ValueError(f"{name} is not orthonormal to 1e-8")
-    gap = V1 @ V1.T - V2 @ V2.T
+    if np.array_equal(V1, V2):
+        return 0.0  # V - V (V^T V) keeps roundoff, about 5e-16, on identical bases
+    gap = V2 - V1 @ (V1.T @ V2)
     return float(np.clip(np.linalg.norm(gap, 2), 0.0, 1.0))
 
 

@@ -1,19 +1,19 @@
-"""Linear programming over box bounds with equality rows, and the fibre solve.
+"""The fibre solve: decide {s in box : A s = t} and lift t to its least-norm point.
 
-`solve` hands a program to scipy's HiGHS, the dual revised simplex of
-Huangfu & Hall, with its primal feasibility tolerance pinned to FEAS_TOL so
-points just outside the feasible set are reported infeasible rather than
-returned with a residual too large to accept. The vertex is clipped to the
-box, stepped onto the rows by least norm on its interior coordinates, and
-clipped again, which binds only if no exact point exists. It serves any
-objective, and scipy.optimize loads at its first call.
+`least_norm_point(box, A, t)` works in numpy alone: a semismooth Newton
+method (Qi & Sun, Math. Programming 58, 1993) on the dual of the least-norm
+problem either lifts t to the fibre's least-norm point or proves the fibre
+empty. The sampler, the lift and the membership test decide every reduced
+point this way.
 
-`least_norm_point(box, A, t)` decides the fibre {s in box : A s = t} in
-numpy alone: a semismooth Newton method (Qi & Sun, Math. Programming 58,
-1993) on the dual of the least-norm problem either lifts t to the fibre's
-least-norm point or proves the fibre empty. The sampler decides its draws
-this way, with no program object; a fibre that neither proof settles
-within _NEWTON_CAP steps goes to `solve` as a zero-objective program.
+A fibre that neither proof settles within _NEWTON_CAP steps goes to scipy's
+HiGHS, the dual revised simplex of Huangfu & Hall, as a zero-objective
+program with its primal feasibility tolerance pinned to FEAS_TOL, so points
+just outside the fibre's image are reported infeasible rather than returned
+with a residual too large to accept. The vertex HiGHS returns is clipped to
+the box, stepped onto the rows by least norm on its interior coordinates,
+and clipped again, which binds only if no exact point exists.
+scipy.optimize loads at the first such fibre.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ import numpy as np
 
 from .core import Hyperrectangle
 
-__all__ = ["LinearProgram", "LpSolution", "LpStatus", "solve"]
+__all__ = ["LpSolution", "LpStatus"]
 
 FEAS_TOL = 1e-9
-_NEWTON_CAP = 50  # steps before least_norm_point hands a fibre to solve
+_NEWTON_CAP = 50  # steps before least_norm_point hands a fibre to HiGHS
 
 
 class LpStatus(Enum):
@@ -37,79 +37,9 @@ class LpStatus(Enum):
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """min objective^T s subject to eq_matrix s = eq_rhs and box bounds."""
-
-    objective: np.ndarray
-    box: Hyperrectangle
-    eq_matrix: np.ndarray | None = None
-    eq_rhs: np.ndarray | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("objective contains non-finite entries")
-        if c.ndim != 1 or c.size != self.box.dimension:
-            raise ValueError("objective length must match the box dimension")
-        object.__setattr__(self, "objective", c)
-        if (self.eq_matrix is None) != (self.eq_rhs is None):
-            raise ValueError("eq_matrix and eq_rhs must be given together")
-        if self.eq_matrix is not None:
-            A = np.asarray(self.eq_matrix, dtype=float)
-            r = np.asarray(self.eq_rhs, dtype=float)
-            if not (np.all(np.isfinite(A)) and np.all(np.isfinite(r))):
-                raise ValueError("equality data contains non-finite entries")
-            if A.ndim != 2 or A.shape[1] != self.box.dimension:
-                raise ValueError("eq_matrix must be (a, d) with d the box dimension")
-            if r.shape != (A.shape[0],):
-                raise ValueError("eq_rhs length must match eq_matrix rows")
-            if A.shape[0] > A.shape[1]:
-                raise ValueError("more equality rows than variables")
-            # C order: HiGHS and lstsq give last-bit different points for a
-            # transposed view such as V_a^T
-            object.__setattr__(self, "eq_matrix", np.ascontiguousarray(A))
-            object.__setattr__(self, "eq_rhs", r)
-
-
-@dataclass(frozen=True)
 class LpSolution:
     status: LpStatus
     point: np.ndarray | None = None
-    objective_value: float | None = None
-
-
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve the program; deterministic for fixed input data."""
-    box = lp.box
-    A, r = lp.eq_matrix, lp.eq_rhs
-    if A is None:
-        A, r = np.empty((0, box.dimension)), np.empty(0)
-
-    # deferred: after scipy.linalg, importing scipy.optimize (and the sparse,
-    # special and spatial subpackages it imports) costs 0.23-0.28 s and 21 MiB on 2 CPUs
-    from scipy.optimize import linprog
-
-    bounds = np.column_stack([box.lower, box.upper])
-    tol = {"primal_feasibility_tolerance": FEAS_TOL}
-    res = linprog(lp.objective, A_eq=A, b_eq=r, bounds=bounds, method="highs", options=tol)
-    if res.status not in (0, 2):
-        # the dual simplex can end with model status Unknown (4) when eq_rhs
-        # lies within a few FEAS_TOL of the feasible set's boundary; one
-        # interior-point solve, with crossover to a vertex, settles those
-        res = linprog(lp.objective, A_eq=A, b_eq=r, bounds=bounds, method="highs-ipm", options=tol)
-    if res.status == 2:
-        return LpSolution(LpStatus.INFEASIBLE)
-    if res.status != 0:
-        raise RuntimeError(f"HiGHS failed on the LP (status {res.status}: {res.message})")
-
-    point = np.clip(res.x, box.lower, box.upper)
-    free = (point > box.lower) & (point < box.upper)
-    step = np.linalg.lstsq(A[:, free], r - A @ point, rcond=None)[0]
-    point[free] = np.clip(point[free] + step, box.lower[free], box.upper[free])
-    resid = np.max(np.abs(A @ point - r), initial=0.0)
-    if resid > 1e-8 * (1.0 + np.linalg.norm(r)):
-        raise RuntimeError(f"HiGHS returned an inaccurate point (residual {resid:.3e})")
-    return LpSolution(LpStatus.OPTIMAL, point, float(lp.objective @ point))
 
 
 def least_norm_point(box: Hyperrectangle, A: np.ndarray, t: np.ndarray) -> LpSolution:
@@ -125,11 +55,11 @@ def least_norm_point(box: Hyperrectangle, A: np.ndarray, t: np.ndarray) -> LpSol
     strictly inside the box. It stops on a proof: OPTIMAL when s meets the
     rows to 1e-12 (1 + ||t||_inf), or INFEASIBLE when u separates t from
     the image of the box by more than that tolerance times ||u||_1. A fibre
-    settled by neither within _NEWTON_CAP steps goes to `solve` as a
-    zero-objective program and gets its answer. Sampler draws take at most
-    15 steps; only points next to the image's boundary reach the cap, such
-    as its exact vertices or, at d = 250, a vertex scaled by 1 - 1e-6,
-    where the many short rows of A round the vertex off.
+    settled by neither within _NEWTON_CAP steps gets HiGHS's answer
+    (`_highs_fibre`). Sampler draws take at most 15 steps; only points next
+    to the image's boundary reach the cap, such as its exact vertices or,
+    at d = 250, a vertex scaled by 1 - 1e-6, where the many short rows of A
+    round the vertex off.
     """
     lo, hi = box.lower, box.upper
     tol = 1e-12 * (1.0 + np.max(np.abs(t), initial=0.0))
@@ -153,7 +83,7 @@ def least_norm_point(box: Hyperrectangle, A: np.ndarray, t: np.ndarray) -> LpSol
             du *= step
         u = u + du
         z, s, g, f = trial
-    return solve(LinearProgram(np.zeros(lo.size), box, A, t))
+    return _highs_fibre(box, A, t)
 
 
 def _dual(A, t, lo, hi, u):
@@ -161,3 +91,37 @@ def _dual(A, t, lo, hi, u):
     z = A.T @ u
     s = np.clip(z, lo, hi)
     return z, s, A @ s - t, z @ s - 0.5 * (s @ s) - t @ u
+
+
+def _highs_fibre(box: Hyperrectangle, A: np.ndarray, t: np.ndarray) -> LpSolution:
+    """HiGHS's answer for the fibre: a vertex polished onto the rows, or INFEASIBLE.
+
+    Same arguments as least_norm_point; A must be C-ordered, since HiGHS and
+    lstsq give last-bit different points for a transposed view such as V_a^T.
+    """
+    # deferred: after scipy.linalg, importing scipy.optimize (and the sparse,
+    # special and spatial subpackages it imports) costs 0.23-0.28 s and 21 MiB on 2 CPUs
+    from scipy.optimize import linprog
+
+    c = np.zeros(box.dimension)
+    bounds = np.column_stack([box.lower, box.upper])
+    tol = {"primal_feasibility_tolerance": FEAS_TOL}
+    res = linprog(c, A_eq=A, b_eq=t, bounds=bounds, method="highs", options=tol)
+    if res.status not in (0, 2):
+        # the dual simplex can end with model status Unknown (4) when t lies
+        # within a few FEAS_TOL of the fibre image's boundary; one
+        # interior-point solve, with crossover to a vertex, settles those
+        res = linprog(c, A_eq=A, b_eq=t, bounds=bounds, method="highs-ipm", options=tol)
+    if res.status == 2:
+        return LpSolution(LpStatus.INFEASIBLE)
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS failed on the fibre (status {res.status}: {res.message})")
+
+    point = np.clip(res.x, box.lower, box.upper)
+    free = (point > box.lower) & (point < box.upper)
+    step = np.linalg.lstsq(A[:, free], t - A @ point, rcond=None)[0]
+    point[free] = np.clip(point[free] + step, box.lower[free], box.upper[free])
+    resid = np.max(np.abs(A @ point - t), initial=0.0)
+    if resid > 1e-8 * (1.0 + np.linalg.norm(t)):
+        raise RuntimeError(f"HiGHS returned an inaccurate point (residual {resid:.3e})")
+    return LpSolution(LpStatus.OPTIMAL, point)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from ..core import Hyperrectangle, _apply_sign_convention
 
@@ -57,6 +56,8 @@ class KlExpansion:
 
 def _kl_factor(n: int, rho: float):
     """Eigenpairs of h*exp(-dx^2/rho) on the n cell centers of one axis, ascending."""
+    import scipy.linalg
+
     h = 1.0 / n
     coords = (np.arange(n) + 0.5) * h
     diff = coords[:, None] - coords[None, :]
@@ -99,10 +100,6 @@ class PdeModel:
     parameter_box: Hyperrectangle
     qoi_weights: np.ndarray  # (N,) zero except the right-edge cells, summing to one
     rhs: np.ndarray  # (N,) source integrated per cell
-
-    @property
-    def cell_count(self) -> int:
-        return self.n * self.n
 
     @property
     def parameter_dimension(self) -> int:
@@ -176,6 +173,8 @@ def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    import scipy.linalg
+
     return scipy.linalg.cho_solve_banded((chol, True), b, check_finite=False)
 
 
@@ -191,6 +190,8 @@ def _check_residual(ab, x, rhs):
 
 def _checked_solves(model: PdeModel, alpha: np.ndarray, *rhs: np.ndarray) -> list[np.ndarray]:
     """Factor the operator once and return each right-hand side's checked solution."""
+    import scipy.linalg
+
     ab = _assemble(model, alpha)
     try:
         chol = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)

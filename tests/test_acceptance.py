@@ -31,7 +31,7 @@ from gradspace.geometry import (
     build_reduced_domain,
     membership,
 )
-from gradspace.lp import LinearProgram, LpStatus, solve
+from gradspace.lp import LpStatus, least_norm_point
 from gradspace.models.pde import gradient_q, make_pde_model
 from gradspace.util import make_rng, sha256_file
 
@@ -292,7 +292,7 @@ def test_c10_end_to_end_density(tmp_path):
 
 
 def test_c11_lp_oracle():
-    with report(11, "simplex vs brute-force enumeration") as elapsed:
+    with report(11, "fibre solve vs brute-force enumeration") as elapsed:
         rng = make_rng(2026, stream=11)
 
         def enumerate_vertices(A, r, box):
@@ -323,13 +323,17 @@ def test_c11_lp_oracle():
                 r = A @ box.sample(rng, 1)[0]
             else:
                 r = rng.uniform(-4.0, 4.0, a)
-            c = rng.standard_normal(d)
+            rng.standard_normal(d)  # unused: keeps the later programs of this stream unchanged
             verts = enumerate_vertices(A, r, box)
-            sol = solve(LinearProgram(c, box, A, r))
+            sol = least_norm_point(box, A, r)
             if verts:
                 assert sol.status is LpStatus.OPTIMAL
-                best = min(c @ v for v in verts)
-                assert abs(sol.objective_value - best) <= 1e-8
+                assert box.contains(sol.point, tol=0.0)
+                resid = np.max(np.abs(A @ sol.point - r))
+                assert resid <= 1e-12 * (1.0 + np.linalg.norm(r))
+                # the least-norm point of the fibre: no vertex is shorter
+                shortest = np.linalg.norm(sol.point)
+                assert all(np.linalg.norm(v) >= shortest - 1e-12 for v in verts)
             else:
                 assert sol.status is LpStatus.INFEASIBLE
             statuses[sol.status] += 1

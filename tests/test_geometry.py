@@ -25,8 +25,8 @@ from gradspace.geometry import (
     lift,
     membership,
 )
-from gradspace.lp import LinearProgram, LpSolution, LpStatus
-from gradspace.lp import solve as lp_solve
+from gradspace import lp
+from gradspace.lp import LpSolution, LpStatus, _highs_fibre
 from gradspace.util import make_rng
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -394,6 +394,7 @@ class TestFacetCuts:
         d, a = 50, 5
         rd = build_reduced_domain(random_subspace(d, a, seed=63), Hyperrectangle.cube(d, 2.0))
         Va = rd.subspace.basis_a
+        A = np.ascontiguousarray(Va.T)
         picks = make_rng(64).choice(len(rd.cut_normals), 20, replace=False)
         for u in rd.cut_normals[picks]:
             # the centre of the facet with outer normal u: every generator off
@@ -409,8 +410,7 @@ class TestFacetCuts:
                     assert delta < 1e-7  # the cut's slack stays below 1e-7
                     continue
                 assert delta > 0
-                program = LinearProgram(np.zeros(d), rd.full_domain, Va.T, t)
-                assert lp_solve(program).status is LpStatus.INFEASIBLE
+                assert _highs_fibre(rd.full_domain, A, t).status is LpStatus.INFEASIBLE
 
 
 class TestFibreSolveAgreesWithHighs:
@@ -427,7 +427,7 @@ class TestFibreSolveAgreesWithHighs:
 
         def both(box, A, t):
             sol = fibre_solve(box, A, t)
-            pairs.append((sol.status, lp_solve(LinearProgram(np.zeros(50), box, A, t)).status))
+            pairs.append((sol.status, _highs_fibre(box, A, t).status))
             return sol
 
         with pytest.MonkeyPatch.context() as mp:
@@ -439,31 +439,31 @@ class TestFibreSolveAgreesWithHighs:
 
 
 class TestFibreSolveSeam:
-    """The fibre solve takes the sampler's rows directly: no draw builds a LinearProgram."""
+    """The fibre solve settles every draw, lift and membership test here: none reaches HiGHS."""
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        programs = []
-        post_init = LinearProgram.__post_init__
+    def sent_to_highs(self, monkeypatch):
+        fibres = []
+        highs_fibre = lp._highs_fibre
 
-        def counting(program):
-            programs.append(program)
-            post_init(program)
+        def counting(*fibre):
+            fibres.append(fibre)
+            return highs_fibre(*fibre)
 
-        monkeypatch.setattr(LinearProgram, "__post_init__", counting)
-        return programs
+        monkeypatch.setattr(lp, "_highs_fibre", counting)
+        return fibres
 
-    def test_sampler_builds_no_program(self, built):
+    def test_sampler_builds_no_program(self, sent_to_highs):
         rd = build_reduced_domain(random_subspace(50, 5, seed=66), Hyperrectangle.cube(50, 2.0))
         _, stats = build_reduced_design(rd, 100, make_rng(67))
         assert stats.lp_calls > 0
-        assert len(built) == 0
+        assert len(sent_to_highs) == 0
 
-    def test_lift_and_membership_build_no_program(self, built):
+    def test_lift_and_membership_build_no_program(self, sent_to_highs):
         rd = build_reduced_domain(random_subspace(50, 5, seed=66), Hyperrectangle.cube(50, 1.0))
         Va = rd.subspace.basis_a
         t = Va.T @ (0.9 * np.sign(Va[:, 0]))  # liftable, with its back-projection outside
         assert not rd.full_domain.contains(Va @ t, tol=1e-9)
         assert membership(rd, t) is MembershipKind.LIFTABLE_INSIDE
         assert rd.full_domain.contains(lift(rd, t), tol=1e-9)
-        assert len(built) == 0
+        assert len(sent_to_highs) == 0

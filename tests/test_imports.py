@@ -1,10 +1,11 @@
 """A run loads only the scipy subpackages it uses.
 
-Importing gradspace loads none; the elliptic model loads scipy.linalg when
-it is built. The sampler decides and lifts its draws in numpy, so a run
-loads scipy.optimize only if a program reaches the fibre solve's iteration
-cap. Detect completes a basis from fewer samples than dimensions in numpy
-alone. Each check runs in a fresh interpreter, since this one has long since
+Importing gradspace loads not even scipy itself; the elliptic model loads
+scipy.linalg when it is built, and a run's manifest reads scipy's version.
+The sampler decides and lifts its draws in numpy, so a run loads
+scipy.optimize only if a fibre reaches the fibre solve's iteration cap.
+Detect completes a basis from fewer samples than dimensions in numpy alone.
+Each check runs in a fresh interpreter, since this one has long since
 imported all of them.
 """
 
@@ -18,14 +19,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = {"scipy.linalg", "scipy.optimize", "scipy.spatial"}
 
 
-def _heavy_loaded_after(code: str) -> set[str]:
+def _loaded_after(code: str) -> set[str]:
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert run.returncode == 0, run.stderr
-    return HEAVY & set(json.loads(run.stdout.splitlines()[-1]))
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+def _heavy_loaded_after(code: str) -> set[str]:
+    return HEAVY & _loaded_after(code)
 
 
 def _cli_call(tmp_path, command: str, config_text: str) -> str:
@@ -37,6 +42,10 @@ def _cli_call(tmp_path, command: str, config_text: str) -> str:
 
 def test_import_loads_no_scipy_subpackage():
     assert _heavy_loaded_after("from gradspace import cli") == set()
+
+
+def test_import_leaves_scipy_unloaded():
+    assert "scipy" not in _loaded_after("from gradspace import cli")
 
 
 def test_completion_pipeline_loads_no_scipy_subpackage(tmp_path):

@@ -54,7 +54,7 @@ def _dense_operator(model, alpha):
     """
     p, q, dcells = _face_lists(model.n)
     g = 2.0 * alpha[p] * alpha[q] / (alpha[p] + alpha[q])
-    N = model.cell_count
+    N = model.n ** 2
     K = np.zeros((N, N))
     for a, b in ((p, q), (q, p)):  # each face enters the rows of both of its cells
         part = np.zeros((N, N))
@@ -160,7 +160,7 @@ class TestKlExpansion:
             vals, vecs = eigh(*args, **kwargs)
             return vals, -vecs
 
-        monkeypatch.setattr(pde.scipy.linalg, "eigh", flipped)
+        monkeypatch.setattr(scipy.linalg, "eigh", flipped)
         kl = build_kl(11, 30, (1.0, 0.05))
         np.testing.assert_array_equal(kl.eigenfunctions, reference.eigenfunctions)
         np.testing.assert_array_equal(kl.eigenvalues, reference.eigenvalues)
@@ -204,7 +204,7 @@ class TestForwardSolve:
     def test_constant_coefficient_scaling(self, small_model):
         # doubling a constant field halves the solution exactly
         u1 = solve_forward(small_model, np.zeros(10))
-        K2 = _dense_operator(small_model, 2.0 * np.ones(small_model.cell_count))
+        K2 = _dense_operator(small_model, 2.0 * np.ones(small_model.n ** 2))
         u2 = spla.splu(sp.csc_matrix(K2)).solve(small_model.rhs)
         np.testing.assert_allclose(u2, u1 / 2.0, atol=1e-10)
 
@@ -214,7 +214,7 @@ class TestForwardSolve:
         assert qoi(small_model, u) == pytest.approx(Q_REFERENCE_N17, abs=1e-12)
 
     def test_dense_oracle_agreement(self, small_model):
-        K = _dense_operator(small_model, np.ones(small_model.cell_count))
+        K = _dense_operator(small_model, np.ones(small_model.n ** 2))
         u_dense = np.linalg.solve(K, small_model.rhs)
         u_sparse = solve_forward(small_model, np.zeros(10))
         np.testing.assert_allclose(u_sparse, u_dense, atol=1e-12)
@@ -282,8 +282,8 @@ class TestSolveFailures:
             solve(wide_model, np.full(10, corner))
 
     def test_nan_residual_raises(self, small_model):
-        ab = _assemble(small_model, np.ones(small_model.cell_count))
-        x = np.full(small_model.cell_count, np.nan)
+        ab = _assemble(small_model, np.ones(small_model.n ** 2))
+        x = np.full(small_model.n ** 2, np.nan)
         with pytest.raises(RuntimeError, match="residual"):
             pde._check_residual(ab, x, small_model.rhs)
 
@@ -301,16 +301,16 @@ class TestSolveFailures:
 
 class TestQoi:
     def test_unit_solution_on_outflow_edge(self, small_model):
-        u = np.zeros(small_model.cell_count)
+        u = np.zeros(small_model.n ** 2)
         u[small_model.qoi_weights > 0] = 1.0
         assert qoi(small_model, u) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_field(self, small_model):
-        assert qoi(small_model, np.zeros(small_model.cell_count)) == 0.0
+        assert qoi(small_model, np.zeros(small_model.n ** 2)) == 0.0
 
     def test_linearity(self, small_model):
         rng = make_rng(122)
-        u1, u2 = rng.standard_normal((2, small_model.cell_count))
+        u1, u2 = rng.standard_normal((2, small_model.n ** 2))
         assert qoi(small_model, u1 + u2) == pytest.approx(
             qoi(small_model, u1) + qoi(small_model, u2), abs=1e-14
         )
@@ -385,7 +385,7 @@ class TestGradient:
         p, q, dcells = _face_lists(n)
         wf = (y[p] - y[q]) * (u[p] - u[q])
         denom = (alpha[p] + alpha[q]) ** 2
-        psi = np.zeros(model.cell_count)
+        psi = np.zeros(model.n ** 2)
         np.add.at(psi, p, wf * 2.0 * alpha[q] ** 2 / denom)
         np.add.at(psi, q, wf * 2.0 * alpha[p] ** 2 / denom)
         np.add.at(psi, dcells, 2.0 * y[dcells] * u[dcells])
