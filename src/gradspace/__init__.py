@@ -5,7 +5,6 @@ from .core import (
     Hyperrectangle,
     JacobianSamples,
     detect_subspace,
-    estimate_c_hat,
     finite_difference_jacobian,
     subspace_distance,
     suggest_truncation,
@@ -42,7 +41,6 @@ __all__ = [
     "build_reduced_design",
     "build_reduced_domain",
     "detect_subspace",
-    "estimate_c_hat",
     "evaluate",
     "finite_difference_jacobian",
     "fit",

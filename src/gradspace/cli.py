@@ -430,8 +430,10 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def _numeric_environment() -> dict:
     """Library builds and thread settings that decide the output bytes at roundoff level.
 
-    numpy and scipy each bundle their own BLAS; scipy's runs the PDE solves.
-    An analytic run imports scipy only here.
+    numpy and scipy each bundle their own BLAS. numpy's runs the PDE solves
+    and eigenproblems, and scipy's runs them only where numpy's LAPACK does not
+    export the symbols `models._lapack` looks up (MKL, Accelerate or distro
+    builds). Outside that case a run imports scipy only here.
     """
     import scipy
 

@@ -9,7 +9,6 @@ gradient matrix so the condition number is never squared.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -20,7 +19,6 @@ __all__ = [
     "Hyperrectangle",
     "JacobianSamples",
     "ActiveSubspace",
-    "estimate_c_hat",
     "detect_subspace",
     "truncate",
     "suggest_truncation",
@@ -72,10 +70,6 @@ class Hyperrectangle:
     @property
     def dimension(self) -> int:
         return self.lower.size
-
-    def volume(self) -> float:
-        """Lebesgue measure; +inf, with no warning, where it exceeds float64."""
-        return math.prod((self.upper - self.lower).tolist(), start=1.0)
 
     def contains(self, point, tol: float = 0.0) -> bool:
         p = np.asarray(point, dtype=float)
@@ -212,22 +206,6 @@ def _scaled_top(sv_top: float, domain: Hyperrectangle, k: int) -> float:
             f"[{domain.lower.min():g}, {domain.upper.max():g}]^{d} is not a normal float64"
         )
     return float(np.exp(log_top))
-
-
-def estimate_c_hat(samples: JacobianSamples, domain: Hyperrectangle) -> np.ndarray:
-    """Monte Carlo estimate (|domain|/k) * J * J^T of the derivative outer-product matrix.
-
-    Kept for tests and tiny dimensions; the detection path works on the SVD
-    of the gradient matrix instead and never forms this product. The scale
-    is applied as in `detect_subspace`.
-    """
-    _validate_in_domain(samples, domain)
-    J = samples.jacobian
-    sv_top = np.linalg.norm(J, 2)
-    if sv_top == 0.0:
-        return np.zeros((samples.dimension, samples.dimension))
-    C = _scaled_top(sv_top, domain, samples.count) * ((J / sv_top) @ (J / sv_top).T)
-    return 0.5 * (C + C.T)
 
 
 def detect_subspace(samples: JacobianSamples, domain: Hyperrectangle) -> ActiveSubspace:

@@ -59,10 +59,16 @@ def least_norm_point(box: Hyperrectangle, A: np.ndarray, t: np.ndarray) -> LpSol
     (`_highs_fibre`). Sampler draws take at most 15 steps; only points next
     to the image's boundary reach the cap, such as its exact vertices or,
     at d = 250, a vertex scaled by 1 - 1e-6, where the many short rows of A
-    round the vertex off.
+    round the vertex off. An A with no nonzero entry is decided before any
+    step: the fibre is the whole box, lifted to its least-norm point, when
+    ||t||_inf is within the OPTIMAL tolerance, and empty otherwise.
     """
     lo, hi = box.lower, box.upper
     tol = 1e-12 * (1.0 + np.max(np.abs(t), initial=0.0))
+    if not A.any():  # every row zero: the fibre is the whole box or empty
+        if np.max(np.abs(t), initial=0.0) > tol:
+            return LpSolution(LpStatus.INFEASIBLE)
+        return LpSolution(LpStatus.OPTIMAL, np.clip(np.zeros_like(lo), lo, hi))
     ridge = 1e-14 * np.einsum("ij,ij->", A, A) * np.eye(len(t))
     u = np.linalg.solve(A @ A.T + ridge, t)  # u = t for orthonormal rows
     z, s, g, f = _dual(A, t, lo, hi, u)

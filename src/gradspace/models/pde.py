@@ -12,8 +12,11 @@ Cells are numbered iy*n + ix, so a cell field reshapes to an (n, n) grid
 and the faces of each orientation pair two shifted slices of it. Under this
 ordering the operator is symmetric positive definite with bandwidth n. It is
 assembled from those slices straight into LAPACK lower banded storage and
-factored by a banded Cholesky (`scipy.linalg.cholesky_banded`); the forward
-and adjoint solves share one factor, and each solution's residual is checked.
+factored by a banded Cholesky (dpbtrf); the forward and adjoint solves share
+one factor, and each solution's residual is checked. The factor, the solves
+and the KL eigenproblems run in the LAPACK numpy links, through `_lapack`;
+scipy.linalg.lapack serves them only where numpy's LAPACK exports none of
+the symbol spellings `_lapack` knows (MKL, Accelerate or distro builds).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import Hyperrectangle, _apply_sign_convention
+from . import _lapack
 
 __all__ = [
     "KlExpansion",
@@ -56,12 +60,10 @@ class KlExpansion:
 
 def _kl_factor(n: int, rho: float):
     """Eigenpairs of h*exp(-dx^2/rho) on the n cell centers of one axis, ascending."""
-    import scipy.linalg
-
     h = 1.0 / n
     coords = (np.arange(n) + 0.5) * h
     diff = coords[:, None] - coords[None, :]
-    vals, vecs = scipy.linalg.eigh(h * np.exp(-diff * diff / rho))
+    vals, vecs = _lapack.eigh(h * np.exp(-diff * diff / rho))
     return vals, _apply_sign_convention(vecs)
 
 
@@ -173,15 +175,13 @@ def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    import scipy.linalg
-
-    return scipy.linalg.cho_solve_banded((chol, True), b, check_finite=False)
+    return _lapack.solve(chol, b)
 
 
 def _check_residual(ab, x, rhs):
-    # Not np.linalg.norm: its dot runs in numpy's own OpenBLAS, threaded on long
-    # vectors, and those threads fight scipy's LAPACK threads for the cores
-    # (77-112 ms against 38-50 ms per solve at n=129 on 2 CPUs).
+    # np.linalg.norm measures the same here (47 ms per gradient at n=129 on
+    # 2 CPUs, with the solves in numpy's LAPACK); this form keeps the
+    # residual's rounding.
     r = _banded_matvec(ab, x) - rhs
     resid = np.sqrt(np.sum(r * r) / np.sum(rhs * rhs))
     if not resid <= _RESID_TOL:  # also rejects a NaN residual
@@ -190,11 +190,9 @@ def _check_residual(ab, x, rhs):
 
 def _checked_solves(model: PdeModel, alpha: np.ndarray, *rhs: np.ndarray) -> list[np.ndarray]:
     """Factor the operator once and return each right-hand side's checked solution."""
-    import scipy.linalg
-
     ab = _assemble(model, alpha)
     try:
-        chol = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+        chol = _lapack.factor(ab)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"system matrix is not positive definite: {exc}") from exc
     solutions = [_solve(chol, b) for b in rhs]

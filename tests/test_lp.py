@@ -177,9 +177,8 @@ class TestSolve:
 
     def test_zero_row_with_nonzero_rhs_infeasible(self):
         box = Hyperrectangle.cube(2, 1.0)
-        sol = _highs_fibre(box, np.zeros((1, 2)), np.array([1.0]))
-        assert sol.status is LpStatus.INFEASIBLE
-        # the fibre solve needs a nonzero row to start from
+        for solver in SOLVERS:
+            assert solver(box, np.zeros((1, 2)), np.array([1.0])).status is LpStatus.INFEASIBLE
         A = np.array([[0.0, 0.0], [1.0, 0.0]])
         assert least_norm_point(box, A, np.array([1.0, 0.3])).status is LpStatus.INFEASIBLE
 
@@ -312,6 +311,18 @@ class TestLeastNormPoint:
             assert vertices
             for vertex in vertices:
                 assert np.linalg.norm(vertex) >= shortest - 1e-12
+
+    def test_all_zero_rows_are_decided_before_the_first_step(self, sent_to_highs):
+        # A = 0 leaves the first step's system singular; HiGHS calls this fibre infeasible
+        sol = least_norm_point(Hyperrectangle.cube(2, 1), np.zeros((1, 2)), [1.0])
+        assert sol.status is LpStatus.INFEASIBLE
+        box = Hyperrectangle(np.array([0.5, -1.0]), np.array([1.0, 1.0]))
+        for t in (np.zeros(1), np.array([1e-13]), np.zeros(2)):
+            A = np.zeros((t.size, 2))
+            sol = least_norm_point(box, A, t)
+            assert sol.status is _highs_fibre(box, A, t).status is LpStatus.OPTIMAL
+            np.testing.assert_array_equal(sol.point, [0.5, 0.0])  # the box's least-norm point
+        assert sent_to_highs == []
 
     def test_program_unsettled_at_the_cap_goes_to_solve(self, sent_to_highs, monkeypatch):
         # a point 1e-8 inside a vertex of the zonotope takes several Newton steps
