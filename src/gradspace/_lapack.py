@@ -1,15 +1,17 @@
-"""The elliptic model's three LAPACK routines, from the LAPACK numpy links.
+"""The LAPACK routines the elliptic model and the surrogate call, from the LAPACK numpy links.
 
 numpy's wheels export OpenBLAS's LAPACK with 64-bit integers, as
 scipy_<name>_64_ (numpy >= 2) or <name>_64_ (numpy 1.26). ctypes finds
-dpbtrf, dpbtrs and dsyevr through `numpy.linalg._umath_linalg`'s library,
-whose symbol lookup also searches its dependencies, so an elliptic run
-never imports scipy.linalg (0.2 s on 2 CPUs with scipy 1.17). Where numpy
+dpbtrf, dpbtrs, dsyevr and dgesv through `numpy.linalg._umath_linalg`'s
+library, whose symbol lookup also searches its dependencies, so no run
+imports scipy.linalg (0.2 s on 2 CPUs with scipy 1.17). Where numpy
 exports neither spelling (MKL, Accelerate or distro builds), the same
 routines come from scipy.linalg.lapack's f2py wrappers. Either binding is
 resolved at the first call and gets the arguments scipy.linalg passes
 (`cholesky_banded`, `cho_solve_banded`, `eigh`'s default evr driver), so
-on one LAPACK build the results are scipy.linalg's bytes.
+on one LAPACK build the results are scipy.linalg's bytes. `gesv` is the
+dgesv that `np.linalg.solve` calls, run on the caller's arrays instead of
+copies of them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["factor", "solve", "eigh"]
+__all__ = ["factor", "solve", "eigh", "gesv"]
 
 _SPELLINGS = ("scipy_{}_64_", "{}_64_")
 _INT = ctypes.c_int64  # both spellings take 64-bit integers
@@ -29,15 +31,17 @@ _ZERO = ctypes.byref(ctypes.c_double(0.0))
 
 
 class _Routines(NamedTuple):
-    """The three routines as f2py-style calls, all on the lower triangle.
+    """The four routines as f2py-style calls.
 
     dpbtrf(band) -> (factor, info), dpbtrs(factor, b) -> (x, info) and
-    dsyevr(a) -> (w, z, info); each overwrites its Fortran-ordered inputs.
+    dsyevr(a) -> (w, z, info) work on the lower triangle, dgesv(a, b) ->
+    (x, info) on a's C buffer read as Fortran's; each overwrites its inputs.
     """
 
     dpbtrf: Callable
     dpbtrs: Callable
     dsyevr: Callable
+    dgesv: Callable
 
 
 def factor(ab: np.ndarray) -> np.ndarray:
@@ -65,6 +69,25 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, z
 
 
+def gesv(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for a symmetric A, by LU with partial pivoting, in place.
+
+    A is an (m, m) C-ordered float64 array, which LAPACK reads as its
+    transpose, and b a contiguous float64 vector of length m. A is
+    overwritten with its LU factors and b with the solution, which is
+    returned. On a symmetric A these are the bytes of np.linalg.solve(A, b),
+    which calls the same dgesv on a column-major copy of A.
+    Raises LinAlgError if A is singular.
+    """
+    square = b.ndim == 1 and A.shape == (b.size, b.size)
+    layout = A.flags.c_contiguous and b.flags.c_contiguous and A.dtype == b.dtype == np.float64
+    if not (square and layout):
+        raise ValueError("gesv needs a C-ordered (m, m) float64 A and a contiguous float64 b of length m")
+    x, info = _routines().dgesv(A, b)
+    _check("dgesv", info, f"U[{info}, {info}] is exactly zero, so the matrix is singular")
+    return x
+
+
 def _check(routine: str, info: int, failure: str = "failed") -> None:
     if info < 0:
         raise ValueError(f"{routine}: argument {-info} has an illegal value")
@@ -90,7 +113,7 @@ def _ref(value: int):
     return ctypes.byref(_INT(value))
 
 
-def _ctypes_routines(pbtrf, pbtrs, syevr) -> _Routines:
+def _ctypes_routines(pbtrf, pbtrs, syevr, gesv) -> _Routines:
     def dpbtrf(band):
         info = _INT()
         kd1, n = band.shape
@@ -125,7 +148,13 @@ def _ctypes_routines(pbtrf, pbtrs, syevr) -> _Routines:
             call(work, work.size, iwork, iwork.size)
         return w, z, info.value
 
-    return _Routines(dpbtrf, dpbtrs, dsyevr)
+    def dgesv(a, b):
+        n, info = b.shape[0], _INT()
+        ipiv = np.empty(n, dtype=np.int64)
+        gesv(_ref(n), _ref(1), a.ctypes, _ref(n), ipiv.ctypes, b.ctypes, _ref(n), ctypes.byref(info))
+        return b, info.value
+
+    return _Routines(dpbtrf, dpbtrs, dsyevr, dgesv)
 
 
 def _scipy_routines() -> _Routines:
@@ -142,4 +171,5 @@ def _scipy_routines() -> _Routines:
         lambda band: lapack.dpbtrf(band, lower=1, overwrite_ab=1),
         lambda chol, b: lapack.dpbtrs(chol, b, lower=1, overwrite_b=1),
         dsyevr,
+        lambda a, b: lapack.dgesv(a.T, b, overwrite_a=1, overwrite_b=1)[2:],
     )

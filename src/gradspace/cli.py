@@ -431,9 +431,10 @@ def _numeric_environment() -> dict:
     """Library builds and thread settings that decide the output bytes at roundoff level.
 
     numpy and scipy each bundle their own BLAS. numpy's runs the PDE solves
-    and eigenproblems, and scipy's runs them only where numpy's LAPACK does not
-    export the symbols `models._lapack` looks up (MKL, Accelerate or distro
-    builds). Outside that case a run imports scipy only here.
+    and eigenproblems and the surrogate's dense solve, and scipy's runs them
+    only where numpy's LAPACK does not export the symbols `_lapack` looks up
+    (MKL, Accelerate or distro builds). Outside that case a run imports
+    scipy only here.
     """
     import scipy
 

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .core import ActiveSubspace, Hyperrectangle
-from .lp import LpStatus
+from .lp import LpStatus, projection_tolerance
 # bound as lp_solve: perfbench/traced.py times the lp layer through this name
 from .lp import least_norm_point as lp_solve
 
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _BOX_TOL = 1e-9
-_PROJ_TOL = 1e-8
 _MAX_CUTS = 250
 
 
@@ -74,8 +73,8 @@ class ReducedDesign:
         """Re-check the lift invariants of every row against V_a and the box; raises on violation."""
         if subspace.dimension != box.dimension:
             raise ValueError("subspace and domain dimensions differ")
-        proj = self.lifted_points @ subspace.basis_a
-        if np.max(np.abs(proj - self.reduced_points)) > _PROJ_TOL:
+        miss = np.abs(self.lifted_points @ subspace.basis_a - self.reduced_points)
+        if np.any(np.max(miss, axis=1) > projection_tolerance(self.reduced_points)):
             raise ValueError("design row violates projection consistency")
         lo_ok = np.all(self.lifted_points >= box.lower - _BOX_TOL)
         hi_ok = np.all(self.lifted_points <= box.upper + _BOX_TOL)
@@ -165,7 +164,7 @@ def _classify(
     s = sol.point
     if not domain.full_domain.contains(s, tol=_BOX_TOL):
         raise RuntimeError("lifted point left the full domain")
-    if np.max(np.abs(Va.T @ s - t)) > _PROJ_TOL:
+    if np.max(np.abs(Va.T @ s - t)) > projection_tolerance(t):
         raise RuntimeError("lifted point lost projection consistency")
     return MembershipKind.LIFTABLE_INSIDE, s, True
 

@@ -31,6 +31,16 @@ FEAS_TOL = 1e-9
 _NEWTON_CAP = 50  # steps before least_norm_point hands a fibre to HiGHS
 
 
+def projection_tolerance(t: np.ndarray):
+    """How far A s may miss t for s to lift t: 1e-8 (1 + ||t||_inf), per row of t.
+
+    The one test of "t is in Z" that a lifted point must pass, wherever it
+    came from: HiGHS's polished vertex, `geometry`'s lift, or a stored
+    design row.
+    """
+    return 1e-8 * (1.0 + np.max(np.abs(t), axis=-1, initial=0.0))
+
+
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -128,6 +138,6 @@ def _highs_fibre(box: Hyperrectangle, A: np.ndarray, t: np.ndarray) -> LpSolutio
     step = np.linalg.lstsq(A[:, free], t - A @ point, rcond=None)[0]
     point[free] = np.clip(point[free] + step, box.lower[free], box.upper[free])
     resid = np.max(np.abs(A @ point - t), initial=0.0)
-    if resid > 1e-8 * (1.0 + np.linalg.norm(t)):
+    if resid > projection_tolerance(t):
         raise RuntimeError(f"HiGHS returned an inaccurate point (residual {resid:.3e})")
     return LpSolution(LpStatus.OPTIMAL, point)

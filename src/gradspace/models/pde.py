@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import _lapack
 from ..core import Hyperrectangle, _apply_sign_convention
-from . import _lapack
 
 __all__ = [
     "KlExpansion",

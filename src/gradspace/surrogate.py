@@ -4,7 +4,10 @@ Gaussian kernel with a linear polynomial tail, solved as the classic
 augmented symmetric system. The tail makes linear data exact regardless of
 the kernel and pins the far field; the side conditions keep the kernel
 weights orthogonal to the polynomial block. Distances are summed one
-coordinate at a time in numpy, the order scipy's cdist uses.
+coordinate at a time in numpy, the order scipy's cdist uses. The system is
+factored in place by LAPACK's dgesv from the LAPACK numpy links (`_lapack`),
+the routine np.linalg.solve calls on a copy, so the fit holds one
+(n+a+1)² array; the regularization walk rebuilds it after each solve.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _lapack
 from .util import read_container, write_container
 
 __all__ = ["RbfConfig", "RbfSurrogate", "fit", "evaluate", "predict", "save", "load"]
@@ -103,11 +107,32 @@ def _median_distance(D: np.ndarray) -> float:
     return float(np.median(pairs, overwrite_input=True))
 
 
+def _write_system(A, points, P, shape):
+    """Write the augmented system's matrix into A and return the kernel width.
+
+    The top-left n×n block receives the distances and then, in place, the
+    kernel at shape (None selects the median distance); P sits beside it,
+    P^T below it, and the corner is zero. The distances are bitwise
+    symmetric, so A is exactly symmetric.
+    """
+    n = len(points)
+    A.fill(0.0)
+    D = _distances(points, points, out=A[:n, :n])
+    if np.count_nonzero(D <= 1e-12) > n:  # beyond the zero diagonal
+        raise ValueError("points must be pairwise distinct (min distance > 1e-12)")
+    sigma = shape if shape is not None else _median_distance(D)
+    _gaussian(D, sigma)
+    A[:n, n:] = P
+    A[n:, :n] = P.T
+    return sigma
+
+
 def _solve_augmented(A, n, values, eta):
     """Solve the system whose top-left n×n block holds the kernel, loading its
-    diagonal with eta (K_ii is exactly 1, so 1 + eta is bitwise K_ii + eta)."""
+    diagonal with eta (K_ii is exactly 1, so 1 + eta is bitwise K_ii + eta).
+    The solve overwrites A with its LU factors."""
     np.fill_diagonal(A[:n, :n], 1.0 + eta)
-    sol = np.linalg.solve(A, np.concatenate([values, np.zeros(A.shape[0] - n)]))
+    sol = _lapack.gesv(A, np.concatenate([values, np.zeros(A.shape[0] - n)]))
     return sol[:n], sol[n:]
 
 
@@ -131,17 +156,12 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
     if n < a + 2:
         raise ValueError(f"need at least a+2 = {a + 2} points, got {n}")
     # the distances, then the kernel, live in the system matrix's top-left
-    # block, so fit holds only that matrix and the solver's copy of it
-    A = np.zeros((n + a + 1, n + a + 1))
-    D = _distances(points, points, out=A[:n, :n])
-    if np.count_nonzero(D <= 1e-12) > n:  # beyond the zero diagonal
-        raise ValueError("points must be pairwise distinct (min distance > 1e-12)")
-
-    sigma = config.shape if config.shape is not None else _median_distance(D)
-    K = _gaussian(D, sigma)
+    # block, and the solve factors that matrix in place, so fit holds one
+    # (n+a+1)² array
+    A = np.empty((n + a + 1, n + a + 1))
     P = np.hstack([np.ones((n, 1)), points])
-    A[:n, n:] = P
-    A[n:, :n] = P.T
+    sigma = _write_system(A, points, P, config.shape)
+    K = A[:n, :n]
     eta = config.regularization
 
     try:
@@ -153,7 +173,8 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
         value_norm = float(np.linalg.norm(values))
         best = (np.inf, w, beta, eta)
         while True:
-            np.fill_diagonal(K, 1.0)  # unload the diagonal for the residual
+            # the LU factors overwrote A; rebuilt, K's diagonal is exactly 1 again
+            _write_system(A, points, P, sigma)
             resid = float(np.max(np.abs(K @ w + P @ beta - values)))
             if resid < best[0]:
                 best = (resid, w, beta, eta)

@@ -20,6 +20,7 @@ from gradspace.core import (
 from gradspace import geometry
 from gradspace.geometry import (
     MembershipKind,
+    ReducedDesign,
     build_reduced_design,
     build_reduced_domain,
     lift,
@@ -217,6 +218,24 @@ class TestSampleReduced:
             design.lifted_points @ sub.basis_a, design.reduced_points, atol=1e-8
         )
 
+    def test_validate_applies_the_projection_tolerance_per_row(self):
+        sub = random_subspace(10, 2, seed=49)
+        box = Hyperrectangle.cube(10, 1.0)
+        design, _ = build_reduced_design(build_reduced_domain(sub, box), 150, make_rng(50))
+        norms = np.max(np.abs(design.reduced_points), axis=1)
+        far, near = np.argmax(norms), np.argmin(norms)
+        miss = 0.5 * lp.projection_tolerance(design.reduced_points[far])
+        assert miss > lp.projection_tolerance(design.reduced_points[near])
+        for row, accepted in ((far, True), (near, False)):
+            reduced = design.reduced_points.copy()
+            reduced[row, 0] += miss
+            shifted = ReducedDesign(reduced, design.lifted_points)
+            if accepted:
+                shifted.validate(sub, box)
+            else:
+                with pytest.raises(ValueError, match="projection consistency"):
+                    shifted.validate(sub, box)
+
     @settings(max_examples=25, deadline=None)
     @given(d=st.integers(3, 12), a=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
     def test_midpoint_convexity(self, d, a, seed):
@@ -293,6 +312,36 @@ class TestEntryPointsAgree:
         assert stats.lp_calls + stats.prefilter_rejects == missed
         assert stats.prefilter_rejects > 0
         assert stats.rejected > 0
+
+
+@pytest.fixture(scope="module")
+def paper_subspace_a8(tmp_path_factory):
+    """The detected subspace of the 250-parameter elliptic model (k=100, a=8, seed 2026)."""
+    out = tmp_path_factory.mktemp("paper")
+    cmd_detect(ExperimentConfig(model="pde", pde_n=33, pde_d=250, k=100, a="8"), out, seed=2026)
+    return read_subspace(out / "subspace.bin")
+
+
+class TestNearVerticesOfThePaperSubspace:
+    """Points 1e-8 inside Z's vertices are decided and lifted without raising.
+
+    Each reaches the fibre solve's cap, so HiGHS settles it, and its polished
+    vertex must pass the same projection tolerance as the design check. Exact vertices
+    are left out: at d = 250 HiGHS calls their one-point fibres infeasible.
+    """
+
+    @pytest.mark.parametrize("a", [5, 8])
+    def test_lifted_and_accepted(self, paper_subspace_a8, a):
+        sub = truncate(paper_subspace_a8, a)
+        box = Hyperrectangle.cube(250, 2.0)
+        domain = build_reduced_domain(sub, box)
+        Va = sub.basis_a
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            t = (1.0 - 1e-8) * (Va.T @ (2.0 * np.sign(Va @ rng.standard_normal(a))))
+            assert membership(domain, t) is MembershipKind.LIFTABLE_INSIDE
+            s = lift(domain, t)
+            ReducedDesign(t[None, :], s[None, :]).validate(sub, box)
 
 
 class TestClassifierGuards:

@@ -1,4 +1,4 @@
-"""The elliptic model's LAPACK binding agrees with scipy.linalg, through either source.
+"""The LAPACK binding agrees with scipy.linalg and numpy.linalg, through either source.
 
 Every case runs twice: on the routines numpy's LAPACK exports, and on the
 scipy.linalg.lapack fallback, forced by hiding those symbol spellings.
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gradspace.models import _lapack, pde
+from gradspace import _lapack, surrogate
+from gradspace.models import pde
 from gradspace.util import make_rng
 
 
@@ -69,3 +70,44 @@ def test_band_that_is_not_positive_definite_raises(binding):
         _lapack.factor(ab)
     with pytest.raises(RuntimeError, match="system matrix is not positive definite"):
         pde._checked_solves(model, -np.ones(36), model.rhs)
+
+
+def _augmented_system(n, a, eta):
+    """The surrogate's system matrix on n random points in a-D, diagonal loaded with eta."""
+    points = make_rng(2026, stream=27).uniform(-1, 1, size=(n, a))
+    P = np.hstack([np.ones((n, 1)), points])
+    A = np.empty((n + a + 1, n + a + 1))
+    surrogate._write_system(A, points, P, None)
+    np.fill_diagonal(A[:n, :n], 1.0 + eta)
+    return A, np.concatenate([np.sin(3 * points[:, 0]), np.zeros(a + 1)])
+
+
+@pytest.mark.parametrize("n, a, eta", [(40, 1, 1e-10), (150, 2, 1e-4), (300, 5, 0.0)])
+def test_gesv_bitwise_equal_to_copying_solve(binding, n, a, eta):
+    # the same library's dgesv on a column-major copy of A: np.linalg.solve
+    # for numpy's LAPACK; scipy bundles another OpenBLAS, so its own dgesv
+    A, b = _augmented_system(n, a, eta)
+    assert np.array_equal(A, A.T)
+    if binding == "numpy":
+        expected = np.linalg.solve(A, b)
+    else:
+        expected = scipy.linalg.lapack.dgesv(np.asfortranarray(A), b)[2]
+    assert _lapack.gesv(A, b).tobytes() == expected.tobytes()
+
+
+def test_gesv_overwrites_its_arguments(binding):
+    A, b = _augmented_system(60, 3, 0.1)  # well conditioned: builds agree closely
+    A0, b0 = A.copy(), b.copy()
+    x = _lapack.gesv(A, b)
+    assert np.shares_memory(x, b)
+    np.testing.assert_allclose(b, np.linalg.solve(A0, b0), rtol=1e-10)
+    lu, piv = scipy.linalg.lu_factor(A0)  # A0 is symmetric, so its LU is A's transposed
+    np.testing.assert_allclose(A.T, lu, rtol=1e-10, atol=1e-12)
+
+
+def test_gesv_singular_matrix_raises(binding):
+    A = np.ones((3, 3))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _lapack.gesv(A, np.ones(3))
+    with pytest.raises(ValueError, match="C-ordered"):
+        _lapack.gesv(np.eye(3)[:, :2], np.ones(3))

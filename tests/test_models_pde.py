@@ -12,8 +12,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradspace import _lapack
 from gradspace.core import Hyperrectangle
-from gradspace.models import _lapack, pde
+from gradspace.models import pde
 from gradspace.models.pde import (
     PdeModel,
     _assemble,

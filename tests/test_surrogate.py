@@ -183,10 +183,48 @@ def _five_array_fit(points, values, config):
     return w, beta, sigma, eta
 
 
+@pytest.fixture(scope="module")
+def fit_resident_rise():
+    """(rise of the peak resident size over a fit of 1,500 points in 5-D, bytes of its system matrix).
+
+    Linux carries a parent's high-water mark into its child's ru_maxrss at
+    exec, so the fit runs in a grandchild of a small launcher, not in a
+    child of this (large) test process.
+    """
+    pytest.importorskip("resource")
+    n, a = 1500, 5
+    script = f"""
+import resource
+import numpy as np
+from gradspace.surrogate import fit
+from gradspace.util import make_rng
+rng = make_rng(120)
+warm = rng.uniform(-1, 1, size=(50, {a}))
+fit(warm, np.sin(warm[:, 0]))
+pts = rng.uniform(-1, 1, size=({n}, {a}))
+vals = np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, -1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+fit(pts, vals)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    launcher = (
+        "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run(
+        [sys.executable, "-c", launcher, script],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
+    return int(run.stdout.splitlines()[-1]) * unit, 8 * (n + a + 1) ** 2
+
+
 class TestFitMemoryAndBytes:
     @pytest.mark.parametrize("smoothing", [False, True])
     def test_fit_holds_under_three_kernel_sized_arrays(self, smoothing):
-        # the kernel, the saddle-point matrix and the solver's copy of it
+        # loose: the system matrix, with the kernel in its top-left block,
+        # and the pair distances the median reads
         n = 600
         pts = make_rng(110).uniform(-1, 1, size=(n, 3))
         vals = np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, 2])
@@ -201,7 +239,7 @@ class TestFitMemoryAndBytes:
     @pytest.mark.parametrize("smoothing", [False, True])
     def test_warm_fit_holds_under_two_kernel_sized_arrays(self, smoothing):
         # the system matrix, with the kernel in its top-left block, and the
-        # pair distances the median reads; the solver's copy is not traced
+        # pair distances the median reads
         n = 600
         pts = make_rng(110).uniform(-1, 1, size=(n, 3))
         vals = np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, 2])
@@ -215,40 +253,15 @@ class TestFitMemoryAndBytes:
             tracemalloc.stop()
         assert peak < 1.8 * 8 * n * n
 
-    def test_fit_resident_rise_under_three_system_sized_arrays(self):
-        # what tracemalloc cannot see: LAPACK's copy of the system matrix.
-        # Linux carries a parent's high-water mark into its child's ru_maxrss
-        # at exec, so the fit runs in a grandchild of a small launcher, not
-        # in a child of this (large) test process.
-        pytest.importorskip("resource")
-        n, a = 1500, 5
-        script = f"""
-import resource
-import numpy as np
-from gradspace.surrogate import fit
-from gradspace.util import make_rng
-rng = make_rng(120)
-warm = rng.uniform(-1, 1, size=(50, {a}))
-fit(warm, np.sin(warm[:, 0]))
-pts = rng.uniform(-1, 1, size=({n}, {a}))
-vals = np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, -1])
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-fit(pts, vals)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
-"""
-        launcher = (
-            "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        run = subprocess.run(
-            [sys.executable, "-c", launcher, script],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert run.returncode == 0, run.stderr
-        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
-        rise = int(run.stdout.splitlines()[-1]) * unit
-        system = 8 * (n + a + 1) ** 2
+    def test_fit_resident_rise_under_three_system_sized_arrays(self, fit_resident_rise):
+        # what tracemalloc cannot see: memory that LAPACK allocates
+        rise, system = fit_resident_rise
         assert system < rise < 2.8 * system  # the system matrix itself must show
+
+    def test_fit_resident_rise_under_two_system_sized_arrays(self, fit_resident_rise):
+        # the solve factors the system matrix in place: no second copy of it
+        rise, system = fit_resident_rise
+        assert system < rise < 2 * system
 
     @pytest.mark.parametrize(
         "n, subset", [(149, None), (150, None), (300, 64)], ids=["even", "odd", "strided"]
