@@ -39,7 +39,7 @@ from .core import (
     truncate,
 )
 from .models import analytic, pde
-from .util import histogram_csv, make_rng, read_container, sha256_file, write_container, write_csv
+from .util import histogram_csv, make_rng, median, read_container, sha256_file, write_container, write_csv
 
 __all__ = ["main", "cmd_detect", "cmd_complete", "cmd_sample", "cmd_surrogate"]
 
@@ -394,7 +394,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
         files["density_full.csv"] = out / "density_full.csv"
         histogram_csv(files["density_full.csv"], truth)
         info["mean_full"] = float(truth.mean())
-        info["median_abs_error"] = float(np.median(errors))
+        info["median_abs_error"] = median(errors)
     return files, info
 
 

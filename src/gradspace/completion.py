@@ -41,10 +41,15 @@ class RevealedEntries:
             raise ValueError("revealed values contain non-finite entries")
         if rows.size and (rows.min() < 0 or rows.max() >= d or cols.min() < 0 or cols.max() >= k):
             raise ValueError("revealed index out of range")
-        flat = rows * k + cols
-        if np.unique(flat).size != flat.size:
+        # a sort and bincount, not np.unique, which imports numpy.ma on numpy 2
+        flat = np.sort(rows * k + cols)
+        if np.any(flat[1:] == flat[:-1]):
             raise ValueError("duplicate (row, col) pairs in revealed set")
-        if rows.size == 0 or np.unique(rows).size < d or np.unique(cols).size < k:
+        if (
+            rows.size == 0
+            or np.count_nonzero(np.bincount(rows, minlength=d)) < d
+            or np.count_nonzero(np.bincount(cols, minlength=k)) < k
+        ):
             warnings.warn(
                 "some rows or columns have no revealed entry; recovery may be poor",
                 RuntimeWarning,

@@ -8,6 +8,8 @@ coordinate at a time in numpy, the order scipy's cdist uses. The system is
 factored in place by LAPACK's dgesv from the LAPACK numpy links (`_lapack`),
 the routine np.linalg.solve calls on a copy, so the fit holds one
 (n+a+1)² array; the regularization walk rebuilds it after each solve.
+The default kernel width, the median pair distance, is selected from the
+distances in that array without copying them out.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ __all__ = ["RbfConfig", "RbfSurrogate", "fit", "evaluate", "predict", "save", "l
 
 _MAGIC = b"GRBF0002"
 _MEDIAN_SUBSET = 4096
+_MEDIAN_SAMPLE = 8192  # pairs sampled to bracket the median
+_GOLDEN = (5**0.5 - 1) / 2
+_SCAN_ROWS = 128  # rows per block of the median's pass and the distinctness count
 _REG_FLOOR = 1e-15
 _BLOCK = 32  # rows per block of distances and of predict's kernel
 
@@ -100,11 +105,70 @@ def _gaussian(D: np.ndarray, shape: float) -> np.ndarray:
 
 
 def _median_distance(D: np.ndarray) -> float:
-    """Median pairwise distance over at most _MEDIAN_SUBSET evenly strided points."""
+    """Median pairwise distance over at most _MEDIAN_SUBSET evenly strided points.
+
+    Bitwise np.median of the strict upper triangle's values, which it does
+    not copy: one pass counts the values below a bracket taken from a sample
+    of them and keeps those inside it, and the median's ranks are selected
+    among the kept. A bracket that misses the ranks is widened to every value.
+    """
     stride = -(-D.shape[0] // _MEDIAN_SUBSET)
     sub = D[::stride, ::stride]
-    pairs = np.concatenate([row[i + 1 :] for i, row in enumerate(sub)])  # pdist's pairs
-    return float(np.median(pairs, overwrite_input=True))
+    m = sub.shape[0]
+    count = m * (m - 1) // 2
+    hi_rank = count // 2
+    lo_rank = hi_rank if count % 2 else hi_rank - 1
+    for lo, hi in (_bracket(sub, lo_rank, hi_rank), (-np.inf, np.inf)):
+        below, kept = _scan_pairs(sub, lo, hi)
+        if below <= lo_rank and hi_rank < below + kept.size:
+            break
+    kept.partition([lo_rank - below, hi_rank - below])
+    return float(kept[lo_rank - below : hi_rank - below + 1].mean())  # as np.median
+
+
+def _bracket(sub: np.ndarray, lo_rank: int, hi_rank: int) -> tuple[float, float]:
+    """Values likely to enclose order statistics lo_rank..hi_rank of sub's pairs.
+
+    Reads them off a sample of _MEDIAN_SAMPLE pairs (every pair when there
+    are fewer), six standard deviations of a sample rank out on either side;
+    -inf and inf past the sample's ends. The sample's flat indices into the
+    triangle follow the golden ratio's multiples: a fixed stride through the
+    rows meets some points far more often than others, and its median
+    strayed twice as far as a random sample's.
+    """
+    m = sub.shape[0]
+    count = m * (m - 1) // 2
+    if count <= _MEDIAN_SAMPLE:
+        flat = np.arange(count)
+    else:
+        flat = (np.arange(_MEDIAN_SAMPLE) * _GOLDEN % 1.0 * count).astype(np.intp)
+    rows = np.arange(m)
+    starts = rows * (2 * m - rows - 1) // 2  # flat index of each row's first pair
+    i = np.searchsorted(starts, flat, side="right") - 1
+    sample = np.sort(sub[i, flat - starts[i] + i + 1])
+    margin = 3.0 * np.sqrt(sample.size)
+    a = int(np.floor(lo_rank / count * sample.size - margin))
+    b = int(np.ceil(hi_rank / count * sample.size + margin))
+    return (sample[a] if a >= 0 else -np.inf), (sample[b] if b < sample.size else np.inf)
+
+
+def _scan_pairs(sub: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
+    """(number of sub's strict-upper-triangle values below lo, those in [lo, hi]).
+
+    Rows are taken _SCAN_ROWS at a time: the upper triangle of the block's
+    diagonal square, then the columns right of it.
+    """
+    m = sub.shape[0]
+    below, kept = 0, []
+    for i in range(0, m, _SCAN_ROWS):
+        rows = sub[i : i + _SCAN_ROWS]
+        b = rows.shape[0]
+        for v in (rows[:, i : i + b][np.triu_indices(b, 1)], rows[:, i + b :]):
+            inside = v >= lo
+            below += v.size - np.count_nonzero(inside)
+            inside &= v <= hi
+            kept.append(v[inside])
+    return below, np.concatenate(kept)
 
 
 def _write_system(A, points, P, shape):
@@ -118,7 +182,8 @@ def _write_system(A, points, P, shape):
     n = len(points)
     A.fill(0.0)
     D = _distances(points, points, out=A[:n, :n])
-    if np.count_nonzero(D <= 1e-12) > n:  # beyond the zero diagonal
+    close = sum(np.count_nonzero(D[i : i + _SCAN_ROWS] <= 1e-12) for i in range(0, n, _SCAN_ROWS))
+    if close > n:  # beyond the zero diagonal
         raise ValueError("points must be pairwise distinct (min distance > 1e-12)")
     sigma = shape if shape is not None else _median_distance(D)
     _gaussian(D, sigma)

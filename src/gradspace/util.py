@@ -53,6 +53,25 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def median(x) -> float:
+    """np.median of a non-empty 1-d array, as the same float.
+
+    It partitions a copy at the middle ranks and the last, as np.median
+    does, and returns the mean of the middle values, or NaN when the input
+    holds one. On numpy 2, np.median's NaN check imports numpy.ma, which a
+    run uses nowhere else.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("median needs a non-empty 1-d array")
+    half = x.size // 2
+    lo = half if x.size % 2 else half - 1
+    part = np.partition(x, [lo, half, -1])
+    if np.isnan(part[-1]):  # partition puts NaNs last
+        return float(part[-1])
+    return float(part[lo : half + 1].mean())
+
+
 def histogram_csv(path: str | Path, samples: np.ndarray, bins: int = 50) -> None:
     """Write a histogram as (bin_left, bin_right, count) rows over 50 uniform bins."""
     samples = np.asarray(samples, dtype=float)

@@ -116,6 +116,19 @@ class TestRevealUniform:
         with pytest.warns(RuntimeWarning, match="no revealed entry"):
             RevealedEntries((3, 2), np.array([0, 0]), np.array([0, 1]), np.ones(2))
 
+    def test_warns_on_empty_column(self):
+        with pytest.warns(RuntimeWarning, match="no revealed entry"):
+            RevealedEntries((2, 3), np.array([0, 1]), np.array([0, 2]), np.ones(2))
+
+    def test_duplicate_test_compares_whole_pairs(self):
+        # a duplicate apart from its twin in input order is still found; pairs
+        # that share a row or a column, or are each other's transpose, are not
+        with pytest.raises(ValueError, match="duplicate"):
+            RevealedEntries((2, 2), np.array([0, 1, 1, 0]), np.array([1, 0, 1, 1]), np.ones(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            RevealedEntries((2, 2), np.array([0, 1, 1, 0]), np.array([1, 0, 1, 0]), np.ones(4))
+
     def test_rejects_duplicates_and_out_of_range(self):
         with pytest.raises(ValueError, match="duplicate"):
             RevealedEntries((2, 2), np.array([0, 0]), np.array([1, 1]), np.ones(2))

@@ -1,4 +1,4 @@
-"""A run loads only the scipy subpackages it uses.
+"""A run loads only the scipy subpackages it uses, and not numpy.ma.
 
 Importing gradspace loads not even scipy itself, and a run's manifest reads
 scipy's version. The elliptic model calls the LAPACK numpy links, so it
@@ -7,6 +7,9 @@ symbols it looks up; these checks assume numpy's own wheels.
 The sampler decides and lifts its draws in numpy, so a run loads
 scipy.optimize only if a fibre reaches the fibre solve's iteration cap.
 Detect completes a basis from fewer samples than dimensions in numpy alone.
+On numpy 2, np.median and np.unique import numpy.ma; a run takes its
+medians and uniqueness tests by partitions, sorts and counts instead, so
+no pipeline loads it.
 Each check runs in a fresh interpreter, since this one has long since
 imported all of them.
 """
@@ -16,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = {"scipy.linalg", "scipy.optimize", "scipy.spatial"}
@@ -73,3 +78,17 @@ def test_elliptic_pipeline_with_fibre_solves_loads_no_scipy_subpackage(tmp_path)
 def test_analytic_detect_with_fewer_samples_than_dimensions_loads_no_scipy_subpackage(tmp_path):
     config = "model = quadratic\nquad_dim = 6\nk = 3\na = 1\n"
     assert _heavy_loaded_after(_cli_call(tmp_path, "detect", config)) == set()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "model = pde\npde_n = 6\npde_d = 8\nk = 20\na = 2\nn_design = 10\neval_points = 50\n"
+        "full_eval = true\n",
+        "model = cos2\nsvt_synthetic = true\nsvt_rows = 20\nsvt_cols = 40\nsvt_rank = 2\n"
+        "gamma_sweep = 0.5,0.9\nk = 20\nn_design = 10\neval_points = 50\n",
+    ],
+    ids=["elliptic", "completion"],
+)
+def test_pipeline_loads_no_numpy_ma(tmp_path, config):
+    assert "numpy.ma" not in _loaded_after(_cli_call(tmp_path, "pipeline", config))

@@ -16,7 +16,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from gradspace import surrogate
 from gradspace.surrogate import RbfConfig, evaluate, fit, load, predict, save
-from gradspace.util import make_rng, write_container
+from gradspace.util import make_rng, median, write_container
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,6 +33,22 @@ def test_distances_bitwise_equal_cdist(data):
     X = np.vstack([X, X[data.draw(st.lists(st.integers(0, len(X) - 1), max_size=20))]])
     Y = np.vstack([Y, X[data.draw(st.lists(st.integers(0, len(X) - 1), max_size=20))]])
     np.testing.assert_array_equal(surrogate._distances(X, Y), cdist(X, Y), strict=True)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        make_rng(113).standard_normal(1001),
+        make_rng(113).standard_normal(1000),
+        np.array([2.0, 1.0, 2.0, 0.5]),
+        np.array([1.0, np.nan, 2.0]),
+        np.array([3.0, 1.0, np.nan, np.inf]),
+    ],
+    ids=["odd", "even", "even-ties", "odd-nan", "even-nan"],
+)
+def test_util_median_is_np_median(x):
+    # the same float, NaN included, without np.median's numpy.ma import
+    assert np.float64(median(x)).tobytes() == np.median(x).tobytes()
 
 
 class TestFit:
@@ -264,18 +280,32 @@ class TestFitMemoryAndBytes:
         assert system < rise < 2 * system
 
     @pytest.mark.parametrize(
-        "n, subset", [(149, None), (150, None), (300, 64)], ids=["even", "odd", "strided"]
+        "n, subset, case",
+        [(149, None, None), (150, None, None), (300, 64, None), (150, None, "ties"), (150, None, "miss")],
+        ids=["even", "odd", "strided", "ties", "bracket-miss"],
     )
-    def test_median_distance_bitwise_equal_to_mask_form(self, monkeypatch, n, subset):
+    def test_median_distance_bitwise_equal_to_mask_form(self, monkeypatch, n, subset, case):
+        # n = 149 and 150 points give an even and an odd number of pairs
         if subset is not None:
             monkeypatch.setattr(surrogate, "_MEDIAN_SUBSET", subset)
+        monkeypatch.setattr(surrogate, "_MEDIAN_SAMPLE", 500)  # bracket from a sample, not every pair
+        if case == "miss":  # a bracket above every distance
+            monkeypatch.setattr(surrogate, "_bracket", lambda *args: (np.inf, np.inf))
+        scans = []
+        scan = surrogate._scan_pairs
+        monkeypatch.setattr(surrogate, "_scan_pairs", lambda *args: scans.append(1) or scan(*args))
         rng = make_rng(112)
-        pts = rng.uniform(-1, 1, size=(n, 3))
+        if case == "ties":  # lattice points: few distinct distances, some zero
+            pts = rng.integers(0, 4, size=(n, 3)).astype(float)
+        else:
+            pts = rng.uniform(-1, 1, size=(n, 3))
         for D in (surrogate._distances(pts, pts), rng.uniform(0, 1, size=(n, n))):
             stride = -(-n // surrogate._MEDIAN_SUBSET)
             sub = D[::stride, ::stride]
             expected = np.median(sub[np.triu(np.ones(sub.shape, dtype=bool), 1)])
-            assert surrogate._median_distance(D.copy()) == expected
+            scans.clear()
+            assert np.float64(surrogate._median_distance(D.copy())).tobytes() == expected.tobytes()
+            assert len(scans) == (2 if case == "miss" else 1)  # the fall-back pass runs on a miss
 
     @pytest.mark.parametrize(
         "config, decades",
