@@ -456,7 +456,7 @@ def _numeric_environment() -> dict:
 def _write_manifest(out: Path, command: str, cfg, seed: int, rep: int, files, info) -> Path:
     manifest = {
         "command": command,
-        "config": cfg.as_dict(),
+        "config": dataclasses.asdict(cfg),
         "environment": _numeric_environment(),
         "seed": seed,
         "replicate": rep,

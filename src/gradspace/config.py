@@ -137,13 +137,6 @@ class ExperimentConfig:
             return self.rbf_smoothing
         return 1e-6 if self.model == "pde" else 0.0
 
-    def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
 
 def _parse_value(key: str, text: str, kind):
     try:

@@ -59,23 +59,21 @@ class Hyperrectangle:
         object.__setattr__(self, "upper", up)
 
     @classmethod
-    def centered(cls, half_widths) -> "Hyperrectangle":
-        hw = np.atleast_1d(np.asarray(half_widths, dtype=float))
-        return cls(-hw, hw)
-
-    @classmethod
     def cube(cls, dimension: int, half_width: float) -> "Hyperrectangle":
-        return cls.centered(np.full(dimension, float(half_width)))
+        hw = np.full(dimension, float(half_width))
+        return cls(-hw, hw)
 
     @property
     def dimension(self) -> int:
         return self.lower.size
 
-    def contains(self, point, tol: float = 0.0) -> bool:
+    def contains(self, point, tol: float | np.ndarray = 0.0) -> bool:
+        """Whether a point (d,) or every row of an (m, d) stack lies in the box, each
+        side widened by tol: absolute, a scalar or one value per coordinate."""
         p = np.asarray(point, dtype=float)
-        if p.shape != self.lower.shape:
+        if p.shape[-1:] != self.lower.shape or p.ndim > 2:
             raise ValueError(f"point of shape {p.shape} given to a box of dimension {self.dimension}")
-        return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
+        return bool((p >= self.lower - tol).all() and (p <= self.upper + tol).all())
 
     def is_origin_centered(self, tol: float = 1e-9) -> bool:
         return bool(np.all(np.abs(self.lower + self.upper) <= tol))
@@ -135,8 +133,7 @@ def _validate_in_domain(samples: JacobianSamples, domain: Hyperrectangle) -> Non
             f"domain has d={domain.dimension}"
         )
     tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(domain.lower), np.abs(domain.upper)))
-    pts = samples.points
-    if np.any(pts < domain.lower - tol) or np.any(pts > domain.upper + tol):
+    if not domain.contains(samples.points, tol):
         raise ValueError("sample points fall outside the domain")
 
 

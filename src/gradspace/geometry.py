@@ -5,10 +5,11 @@ retained basis: the zonotope Z = V_a^T box, whose generators are the rows of
 V_a. It is convex but not a box, so sampling draws uniformly from an
 enclosing box and keeps a point t when one routine, `_classify`, finds a
 full-space point over it: first the back-projection V_a t if it lies in the
-box; otherwise, unless a facet cut of Z proves t outside, the least-norm
-point of the fibre {s in box : V_a^T s = t}, which `lp.least_norm_point`
-finds from (box, V_a^T, t) in numpy or proves absent (HiGHS settles what it
-cannot). `membership`, `lift` and the sampler all decide through it.
+box exactly; otherwise, unless a facet cut of Z proves t outside, the
+least-norm point of the fibre {s in box : V_a^T s = t}, which
+`lp.least_norm_point` finds from (box, V_a^T, t) in numpy or proves absent
+(HiGHS settles what it cannot), clipped to the box. `membership`, `lift`
+and the sampler all decide through it, and every lifted point lies in the box.
 Z's facets lie on the hyperplanes spanned by a-1 generators (Ziegler,
 Lectures on Polytopes, 7.3), so the cuts from every (a-1)-subset of them are
 Z's H-representation; at most _MAX_CUTS are kept, from the longest rows.
@@ -39,7 +40,7 @@ __all__ = [
     "build_reduced_design",
 ]
 
-_BOX_TOL = 1e-9
+_BOX_TOL = 1e-9  # the facet cuts' margin and the centring check; no containment test
 _MAX_CUTS = 250
 
 
@@ -70,15 +71,13 @@ class ReducedDesign:
     lifted_points: np.ndarray  # (n, d)
 
     def validate(self, subspace: ActiveSubspace, box: Hyperrectangle) -> None:
-        """Re-check the lift invariants of every row against V_a and the box; raises on violation."""
+        """Re-check every row's lift invariants against V_a and the box, exactly; raises if violated."""
         if subspace.dimension != box.dimension:
             raise ValueError("subspace and domain dimensions differ")
         miss = np.abs(self.lifted_points @ subspace.basis_a - self.reduced_points)
         if np.any(np.max(miss, axis=1) > projection_tolerance(self.reduced_points)):
             raise ValueError("design row violates projection consistency")
-        lo_ok = np.all(self.lifted_points >= box.lower - _BOX_TOL)
-        hi_ok = np.all(self.lifted_points <= box.upper + _BOX_TOL)
-        if not (lo_ok and hi_ok):
+        if not box.contains(self.lifted_points):
             raise ValueError("design row falls outside the full domain")
 
 
@@ -135,10 +134,11 @@ def _facet_cuts(Va: np.ndarray, half_widths: np.ndarray) -> tuple[np.ndarray, np
     normals = np.linalg.svd(Va[subsets])[2][:, -1, :]
     coeffs = np.abs(Va @ normals.T)  # |(V_a u)_i|, one column per cut
     support = half_widths @ coeffs
-    # with orthonormal V_a an accepted t is V_a^T s for some s within
-    # _BOX_TOL of the box, so |u . t| <= h(u) + _BOX_TOL ||V_a u||_1; the
-    # limit doubles that slack and adds a roundoff term. It holds for any u,
-    # however accurate, because h is computed for the same u.
+    # an accepted t is V_a^T s + r for an s in the box and a residual of at most
+    # 1e-12 (1 + ||t||_inf) per row (the fibre solve's), so |u . t| <= h(u) + |u . r|;
+    # the margin 2 _BOX_TOL ||V_a u||_1 >= 2e-9 (||V_a u||_2 = 1 for orthonormal V_a)
+    # exceeds |u . r| by orders of magnitude, and the relative term covers roundoff.
+    # It holds for any u, however accurate, because h is computed for the same u.
     limits = support * (1.0 + 1e-12) + 2.0 * _BOX_TOL * coeffs.sum(axis=0)
     return normals, limits
 
@@ -154,7 +154,7 @@ def _classify(
     """Decide and lift a reduced point: (kind, full-space point or None, whether the fibre solve ran)."""
     Va = domain.subspace.basis_a
     s = Va @ t
-    if domain.full_domain.contains(s, tol=_BOX_TOL):
+    if domain.full_domain.contains(s):
         return MembershipKind.DIRECTLY_INSIDE, s, False
     if _outside_cuts(domain, t):
         return MembershipKind.OUTSIDE, None, False
@@ -162,7 +162,7 @@ def _classify(
     if sol.status is LpStatus.INFEASIBLE:
         return MembershipKind.OUTSIDE, None, True
     s = sol.point
-    if not domain.full_domain.contains(s, tol=_BOX_TOL):
+    if not domain.full_domain.contains(s):
         raise RuntimeError("lifted point left the full domain")
     if np.max(np.abs(Va.T @ s - t)) > projection_tolerance(t):
         raise RuntimeError("lifted point lost projection consistency")
@@ -185,7 +185,7 @@ def membership(domain: ReducedDomain, t) -> MembershipKind:
 
 def lift(domain: ReducedDomain, t) -> np.ndarray:
     """Full-space point over t: the back-projection if it lies in the domain, else the fibre's
-    least-norm point."""
+    least-norm point. Either lies in the domain exactly."""
     kind, s, _ = _classify(domain, _checked_point(domain, t))
     if kind is MembershipKind.OUTSIDE:
         raise ValueError("cannot lift a point outside the reduced domain")

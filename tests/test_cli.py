@@ -19,7 +19,7 @@ from gradspace.cli import (
     write_subspace,
 )
 from gradspace.config import ConfigError, ExperimentConfig, parse_config
-from gradspace.core import ActiveSubspace, truncate
+from gradspace.core import ActiveSubspace, Hyperrectangle, truncate
 from gradspace.geometry import ReducedDesign
 from gradspace.models.analytic import cosine_pair
 from gradspace.util import make_rng, read_container, sha256_file, write_container
@@ -365,6 +365,9 @@ class TestMain:
         for name, digest in manifest["files"].items():
             assert sha256_file(out / name) == digest, name
         assert manifest["stages"]["sample"]["sampler"]["lp_calls"] > 0
+        # every lifted row lies in the box exactly, as the model's check needs
+        lifted = np.loadtxt(out / "design.csv", delimiter=",", skiprows=1)[:, 5:-1]
+        assert Hyperrectangle.cube(250, 2.0).contains(lifted, tol=0.0)
 
     def test_manifest_lists_stage_warnings(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -52,11 +52,19 @@ class TestHyperrectangle:
         pts = box.sample(make_rng(1), 1000)
         assert np.all(pts >= box.lower) and np.all(pts <= box.upper)
 
-    @pytest.mark.parametrize("point", [[0.5], [0.5, 0.5]])
+    @pytest.mark.parametrize("point", [[0.5], [0.5, 0.5], np.zeros((4, 2)), np.zeros((2, 4, 3))])
     def test_contains_rejects_a_point_of_the_wrong_shape(self, point):
-        message = f"shape {(len(point),)} given to a box of dimension 3"
+        message = f"shape {np.shape(point)} given to a box of dimension 3"
         with pytest.raises(ValueError, match=re.escape(message)):
             Hyperrectangle.cube(3, 1.0).contains(point)
+
+    def test_contains_decides_a_stack_by_every_row(self):
+        box = Hyperrectangle.cube(3, 1.0)
+        stack = np.array([[1.0, -1.0, 0.0], [0.5, 0.5, 0.5], [-1.0, 1.0, 1.0]])
+        assert box.contains(stack)
+        stack[1, 2] = np.nextafter(1.0, 2.0)
+        assert not box.contains(stack)
+        assert box.contains(stack, tol=1e-9)
 
 
 class TestEstimateCHat:

@@ -28,6 +28,7 @@ from gradspace.geometry import (
 )
 from gradspace import lp
 from gradspace.lp import LpSolution, LpStatus, _highs_fibre
+from gradspace.models.pde import make_pde_model, solve_forward
 from gradspace.util import make_rng
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -272,6 +273,36 @@ class TestSampleReduced:
         assert 0.0 < stats.acceptance_rate <= 1.0
 
 
+class TestBackProjectionJustPastAFace:
+    """A draw whose back-projection sits 5e-10 past a face lifts to a point inside the box."""
+
+    @pytest.fixture
+    def probe(self):
+        model = make_pde_model(n=9, d=10)
+        sub = random_subspace(10, 2, seed=61)
+        rd = build_reduced_domain(sub, model.parameter_box)
+        t0 = sub.basis_a.T @ np.sign(sub.basis_a[:, 0])
+        t = t0 * (2.0 + 5e-10) / np.max(np.abs(sub.basis_a @ t0))
+        back = sub.basis_a @ t
+        assert model.parameter_box.contains(back, tol=1e-9)
+        assert not model.parameter_box.contains(back, tol=4e-10)
+        return model, rd, t
+
+    def test_lift_lies_in_the_box_and_the_model_accepts_it(self, probe):
+        model, rd, t = probe
+        s = lift(rd, t)
+        assert model.parameter_box.contains(s)
+        assert np.all(np.isfinite(solve_forward(model, s)))
+        assert np.max(np.abs(rd.subspace.basis_a.T @ s - t)) <= lp.projection_tolerance(t)
+        assert membership(rd, t) is MembershipKind.LIFTABLE_INSIDE  # the fibre solve decides it
+
+    def test_validate_refuses_the_back_projection(self, probe):
+        model, rd, t = probe
+        design = ReducedDesign(t[None, :], (rd.subspace.basis_a @ t)[None, :])
+        with pytest.raises(ValueError, match="outside the full domain"):
+            design.validate(rd.subspace, model.parameter_box)
+
+
 class TestEntryPointsAgree:
     """`membership`, `lift` and the sampler decide every reduced point the same way."""
 
@@ -306,9 +337,7 @@ class TestEntryPointsAgree:
         rng = make_rng(62)
         bb = rd.bounding_box
         draws = [rng.uniform(bb.lower, bb.upper) for _ in range(stats.draws)]
-        missed = sum(
-            not rd.full_domain.contains(rd.subspace.basis_a @ t, tol=1e-9) for t in draws
-        )
+        missed = sum(not rd.full_domain.contains(rd.subspace.basis_a @ t) for t in draws)
         assert stats.lp_calls + stats.prefilter_rejects == missed
         assert stats.prefilter_rejects > 0
         assert stats.rejected > 0
@@ -351,6 +380,18 @@ class TestClassifierGuards:
     def _outside_box_point(box, A, t):
         return LpSolution(LpStatus.OPTIMAL, np.full(box.dimension, 10.0))
 
+    @staticmethod
+    def _just_outside_box_point(box, A, t):
+        # the fibre's least-norm point with its coordinates on a face moved
+        # 5e-10 past it: still well within the projection tolerance
+        sol = lp.least_norm_point(box, A, t)
+        if sol.status is LpStatus.INFEASIBLE:
+            return sol
+        s = sol.point.copy()
+        s[s == box.upper] += 5e-10
+        s[s == box.lower] -= 5e-10
+        return LpSolution(LpStatus.OPTIMAL, s)
+
     @pytest.fixture
     def domain(self):
         sub = random_subspace(10, 2, seed=61)
@@ -358,7 +399,10 @@ class TestClassifierGuards:
 
     @pytest.mark.parametrize(
         "fake_lp, message",
-        [("_outside_box_point", "left the full domain")],
+        [
+            ("_outside_box_point", "left the full domain"),
+            ("_just_outside_box_point", "left the full domain"),
+        ],
     )
     @pytest.mark.parametrize("entry", ["lift", "build_reduced_design"])
     def test_raises(self, domain, monkeypatch, fake_lp, message, entry):
