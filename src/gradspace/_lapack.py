@@ -11,7 +11,7 @@ resolved at the first call and gets the arguments scipy.linalg passes
 (`cholesky_banded`, `cho_solve_banded`, `eigh`'s default evr driver), so
 on one LAPACK build the results are scipy.linalg's bytes. `gesv` is the
 dgesv that `np.linalg.solve` calls, run on the caller's arrays instead of
-copies of them.
+copies of them. `binding` names the source that served the calls.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["factor", "solve", "eigh", "gesv"]
+__all__ = ["factor", "solve", "eigh", "gesv", "binding"]
 
 _SPELLINGS = ("scipy_{}_64_", "{}_64_")
 _INT = ctypes.c_int64  # both spellings take 64-bit integers
@@ -31,7 +31,7 @@ _ZERO = ctypes.byref(ctypes.c_double(0.0))
 
 
 class _Routines(NamedTuple):
-    """The four routines as f2py-style calls.
+    """The four routines as f2py-style calls, and the binding they come from.
 
     dpbtrf(band) -> (factor, info), dpbtrs(factor, b) -> (x, info) and
     dsyevr(a) -> (w, z, info) work on the lower triangle, dgesv(a, b) ->
@@ -42,6 +42,12 @@ class _Routines(NamedTuple):
     dpbtrs: Callable
     dsyevr: Callable
     dgesv: Callable
+    binding: str  # "numpy" or "scipy"
+
+
+def binding() -> str | None:
+    """The binding that served the calls so far, "numpy" or "scipy", or None if none ran."""
+    return _routines().binding if _routines.cache_info().currsize else None  # never resolves one
 
 
 def factor(ab: np.ndarray) -> np.ndarray:
@@ -102,7 +108,7 @@ def _routines() -> _Routines:
     lib = ctypes.CDLL(_umath_linalg.__file__)
     for spelling in _SPELLINGS:
         try:
-            found = [getattr(lib, spelling.format(name)) for name in _Routines._fields]
+            found = [getattr(lib, spelling.format(name)) for name in _Routines._fields[:4]]
         except AttributeError:
             continue
         return _ctypes_routines(*found)
@@ -154,7 +160,7 @@ def _ctypes_routines(pbtrf, pbtrs, syevr, gesv) -> _Routines:
         gesv(_ref(n), _ref(1), a.ctypes, _ref(n), ipiv.ctypes, b.ctypes, _ref(n), ctypes.byref(info))
         return b, info.value
 
-    return _Routines(dpbtrf, dpbtrs, dsyevr, dgesv)
+    return _Routines(dpbtrf, dpbtrs, dsyevr, dgesv, "numpy")
 
 
 def _scipy_routines() -> _Routines:
@@ -172,4 +178,5 @@ def _scipy_routines() -> _Routines:
         lambda chol, b: lapack.dpbtrs(chol, b, lower=1, overwrite_b=1),
         dsyevr,
         lambda a, b: lapack.dgesv(a.T, b, overwrite_a=1, overwrite_b=1)[2:],
+        "scipy",
     )

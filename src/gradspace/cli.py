@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import completion, geometry, surrogate
+from . import _lapack, completion, geometry, surrogate
 from .config import ConfigError, ExperimentConfig, load_config
 from .core import (
     ActiveSubspace,
@@ -77,7 +77,10 @@ class ModelHandle:
 
 
 def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelHandle:
-    """Build the configured model; `cache_dir` is accepted for old callers and ignored."""
+    """Build the configured model; `cache_dir` is accepted for old callers and ignored.
+
+    `gradient_mode = fd` replaces any model's exact gradient by forward differences of its value.
+    """
     if cfg.model == "pde":
         model = pde.make_pde_model(
             n=cfg.pde_n,
@@ -85,6 +88,7 @@ def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelH
             rho=(cfg.pde_rho1, cfg.pde_rho2),
             box_half_width=cfg.pde_half_width,
         )
+        domain = model.parameter_box
 
         def value(s):
             return pde.qoi(model, pde.solve_forward(model, s))
@@ -93,30 +97,31 @@ def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelH
             g, q = pde.gradient_q(model, s, return_value=True)
             return q, g
 
-        return ModelHandle("pde", model.parameter_box, value, value_and_grad)
-
-    if cfg.model == "cos2":
-        tf = analytic.cosine_pair(1.0, 1.0)
-    elif cfg.model == "cos37":
-        tf = analytic.cosine_pair(0.3, 0.7)
-    elif cfg.model == "ridge":
-        tf = analytic.ridge(np.array(cfg.ridge_direction), half_width=cfg.ridge_half_width)
-    elif cfg.model == "quadratic":
-        rng = make_rng(cfg.quad_seed, stream=986)
-        A = rng.standard_normal((cfg.quad_dim, cfg.quad_dim))
-        A = 0.5 * (A + A.T)
-        tf = analytic.quadratic(A, half_width=cfg.quad_half_width)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown model '{cfg.model}'")
-
-    if cfg.gradient_mode == "fd":
-        def value_and_grad(s, tf=tf):
-            return tf(s), finite_difference_jacobian(tf.f, tf.domain, s, cfg.fd_step)
     else:
-        def value_and_grad(s, tf=tf):
+        if cfg.model == "cos2":
+            tf = analytic.cosine_pair(1.0, 1.0)
+        elif cfg.model == "cos37":
+            tf = analytic.cosine_pair(0.3, 0.7)
+        elif cfg.model == "ridge":
+            tf = analytic.ridge(np.array(cfg.ridge_direction), half_width=cfg.ridge_half_width)
+        elif cfg.model == "quadratic":
+            rng = make_rng(cfg.quad_seed, stream=986)
+            A = rng.standard_normal((cfg.quad_dim, cfg.quad_dim))
+            A = 0.5 * (A + A.T)
+            tf = analytic.quadratic(A, half_width=cfg.quad_half_width)
+        else:  # pragma: no cover - guarded by config validation
+            raise ConfigError(f"unknown model '{cfg.model}'")
+        domain, value = tf.domain, tf
+
+        def value_and_grad(s):
             return tf(s), np.asarray(tf.grad(s), dtype=float)
 
-    return ModelHandle(cfg.model, tf.domain, tf, value_and_grad)
+    if cfg.gradient_mode == "fd":
+
+        def value_and_grad(s):
+            return value(s), finite_difference_jacobian(value, domain, s, cfg.fd_step)
+
+    return ModelHandle(cfg.model, domain, value, value_and_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +411,13 @@ _STAGES = {
 }
 
 
-def _run_stage(name, cfg, out, seed, rep):
+def _run_stage(name, cfg, out, rep):
     start = time.perf_counter()
     try:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                files, info = _STAGES[name](cfg, out, seed, rep)
+                files, info = _STAGES[name](cfg, out, cfg.seed, rep)
         finally:
             for w in caught:  # outside the recording context, so the caller's filters apply
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
@@ -430,59 +435,59 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def _numeric_environment() -> dict:
     """Library builds and thread settings that decide the output bytes at roundoff level.
 
-    numpy and scipy each bundle their own BLAS. numpy's runs the PDE solves
-    and eigenproblems and the surrogate's dense solve, and scipy's runs them
-    only where numpy's LAPACK does not export the symbols `_lapack` looks up
-    (MKL, Accelerate or distro builds). Outside that case a run imports
-    scipy only here.
+    `lapack` is the `_lapack` binding that ran the elliptic model's and the
+    surrogate's LAPACK calls, "numpy" or "scipy", or None if none ran.
+    scipy's version and BLAS build come only from a scipy the run loaded
+    (that fallback, or the fibre solve past its cap), else None.
     """
-    import scipy
 
-    blas = {}
-    for lib in (np, scipy):
+    def blas(lib):
         build = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas[lib.__name__] = {"name": build.get("name"), "version": build.get("version")}
+        return {"name": build.get("name"), "version": build.get("version")}
+
+    scipy = sys.modules.get("scipy")
     affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": blas,
+        "scipy": None if scipy is None else scipy.__version__,
+        "lapack": _lapack.binding(),
+        "blas": {"numpy": blas(np), "scipy": None if scipy is None else blas(scipy)},
         "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
         "cpu_affinity": None if affinity is None else sorted(affinity),
     }
 
 
-def _write_manifest(out: Path, command: str, cfg, seed: int, rep: int, files, info) -> Path:
+def _write_manifest(out: Path, command: str, cfg, rep: int, files, info) -> None:
     manifest = {
         "command": command,
         "config": dataclasses.asdict(cfg),
         "environment": _numeric_environment(),
-        "seed": seed,
         "replicate": rep,
         "stages": info,
         "files": {name: sha256_file(path) for name, path in sorted(files.items())},
     }
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
+    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def run_command(command: str, cfg: ExperimentConfig, seed: int, out_dir: str, replicates: int) -> None:
-    """Run one stage, or for `pipeline` detect -> (complete when requested) -> sample -> surrogate."""
+def run_command(command: str, cfg: ExperimentConfig) -> None:
+    """Run one stage, or for `pipeline` detect -> (complete when requested) -> sample -> surrogate.
+
+    Seed, output directory and replicate count come from cfg; of several replicates, r writes to rep<r>.
+    """
     stages = [command]
     if command == "pipeline":
         complete = ["complete"] if cfg.gamma_sweep or cfg.svt_synthetic else []
         stages = ["detect", *complete, "sample", "surrogate"]
-    base = Path(out_dir)
-    for rep in range(replicates):
-        out = base if replicates == 1 else base / f"rep{rep}"
+    base = Path(cfg.output_dir)
+    for rep in range(cfg.replicates):
+        out = base if cfg.replicates == 1 else base / f"rep{rep}"
         out.mkdir(parents=True, exist_ok=True)
         files, info = {}, {}
         for name in stages:
-            stage_files, info[name] = _run_stage(name, cfg, out, seed, rep)
+            stage_files, info[name] = _run_stage(name, cfg, out, rep)
             files.update(stage_files)
-        _write_manifest(out, command, cfg, seed, rep, files, info)
+        _write_manifest(out, command, cfg, rep, files, info)
 
 
 def main(argv=None) -> int:
@@ -501,20 +506,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
+        flags = {"seed": args.seed, "output_dir": args.out, "replicates": args.replicates}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
         cfg.validate()
-        seed = args.seed if args.seed is not None else cfg.seed
-        if seed < 0:
-            raise ConfigError("seed must be >= 0")
-        out_dir = args.out if args.out is not None else cfg.output_dir
-        replicates = args.replicates if args.replicates is not None else cfg.replicates
-        if replicates < 1:
-            raise ConfigError("replicates must be >= 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        run_command(args.command, cfg, seed, out_dir, replicates)
+        run_command(args.command, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

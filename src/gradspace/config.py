@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .completion import SvtParams
+
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
 
 _MODELS = ("cos2", "cos37", "ridge", "quadratic", "pde")
@@ -50,11 +52,11 @@ class ExperimentConfig:
     pde_half_width: float = 2.0
 
     # completion study knobs
-    svt_tau: float = 100.0
-    svt_delta: float = 1.0
-    svt_tol: float = 1e-4
-    svt_eps: float = 1e-6
-    svt_max_iter: int = 1000
+    svt_tau: float = SvtParams.tau
+    svt_delta: float = SvtParams.delta
+    svt_tol: float = SvtParams.tol
+    svt_eps: float = SvtParams.eps
+    svt_max_iter: int = SvtParams.max_iter
     svt_synthetic: bool = False
     svt_rank: int = 5
     svt_rows: int = 100

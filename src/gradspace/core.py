@@ -75,9 +75,6 @@ class Hyperrectangle:
             raise ValueError(f"point of shape {p.shape} given to a box of dimension {self.dimension}")
         return bool((p >= self.lower - tol).all() and (p <= self.upper + tol).all())
 
-    def is_origin_centered(self, tol: float = 1e-9) -> bool:
-        return bool(np.all(np.abs(self.lower + self.upper) <= tol))
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n points uniformly (Lebesgue measure); shape (n, d)."""
         return rng.uniform(self.lower, self.upper, size=(n, self.dimension))

@@ -109,7 +109,7 @@ def build_reduced_domain(
     """
     if subspace.dimension != full_domain.dimension:
         raise ValueError("subspace and domain dimensions differ")
-    if not full_domain.is_origin_centered(tol=_BOX_TOL):
+    if np.any(np.abs(full_domain.lower + full_domain.upper) > _BOX_TOL):
         raise ValueError("full domain must be centered at the origin")
     highs = full_domain.upper @ np.abs(subspace.basis_a)
     normals, limits = _facet_cuts(subspace.basis_a, full_domain.upper)

@@ -8,8 +8,8 @@ coordinate at a time in numpy, the order scipy's cdist uses. The system is
 factored in place by LAPACK's dgesv from the LAPACK numpy links (`_lapack`),
 the routine np.linalg.solve calls on a copy, so the fit holds one
 (n+a+1)² array; the regularization walk rebuilds it after each solve.
-The default kernel width, the median pair distance, is selected from the
-distances in that array without copying them out.
+The default kernel width, the median distance over every pair of centers,
+is selected from the distances in that array without copying them out.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .util import read_container, write_container
 __all__ = ["RbfConfig", "RbfSurrogate", "fit", "evaluate", "predict", "save", "load"]
 
 _MAGIC = b"GRBF0002"
-_MEDIAN_SUBSET = 4096
 _MEDIAN_SAMPLE = 8192  # pairs sampled to bracket the median
 _GOLDEN = (5**0.5 - 1) / 2
 _SCAN_ROWS = 128  # rows per block of the median's pass and the distinctness count
@@ -38,8 +37,8 @@ _BLOCK = 32  # rows per block of distances and of predict's kernel
 class RbfConfig:
     """Fit options.
 
-    shape: kernel width; None selects the median pairwise distance of the
-        training centers (robust default).
+    shape: kernel width; None selects the median distance over every pair
+        of training centers (robust default), at any number of centers.
     regularization: diagonal loading added to K, whose diagonal is exactly 1.
     smoothing: when False (default) the fit must interpolate, and the
         regularization is walked down decade by decade until the training
@@ -105,29 +104,27 @@ def _gaussian(D: np.ndarray, shape: float) -> np.ndarray:
 
 
 def _median_distance(D: np.ndarray) -> float:
-    """Median pairwise distance over at most _MEDIAN_SUBSET evenly strided points.
+    """Median over every pair of points of the distance matrix D.
 
     Bitwise np.median of the strict upper triangle's values, which it does
     not copy: one pass counts the values below a bracket taken from a sample
     of them and keeps those inside it, and the median's ranks are selected
     among the kept. A bracket that misses the ranks is widened to every value.
     """
-    stride = -(-D.shape[0] // _MEDIAN_SUBSET)
-    sub = D[::stride, ::stride]
-    m = sub.shape[0]
+    m = D.shape[0]
     count = m * (m - 1) // 2
     hi_rank = count // 2
     lo_rank = hi_rank if count % 2 else hi_rank - 1
-    for lo, hi in (_bracket(sub, lo_rank, hi_rank), (-np.inf, np.inf)):
-        below, kept = _scan_pairs(sub, lo, hi)
+    for lo, hi in (_bracket(D, lo_rank, hi_rank), (-np.inf, np.inf)):
+        below, kept = _scan_pairs(D, lo, hi)
         if below <= lo_rank and hi_rank < below + kept.size:
             break
     kept.partition([lo_rank - below, hi_rank - below])
     return float(kept[lo_rank - below : hi_rank - below + 1].mean())  # as np.median
 
 
-def _bracket(sub: np.ndarray, lo_rank: int, hi_rank: int) -> tuple[float, float]:
-    """Values likely to enclose order statistics lo_rank..hi_rank of sub's pairs.
+def _bracket(D: np.ndarray, lo_rank: int, hi_rank: int) -> tuple[float, float]:
+    """Values likely to enclose order statistics lo_rank..hi_rank of D's pairs.
 
     Reads them off a sample of _MEDIAN_SAMPLE pairs (every pair when there
     are fewer), six standard deviations of a sample rank out on either side;
@@ -136,7 +133,7 @@ def _bracket(sub: np.ndarray, lo_rank: int, hi_rank: int) -> tuple[float, float]
     rows meets some points far more often than others, and its median
     strayed twice as far as a random sample's.
     """
-    m = sub.shape[0]
+    m = D.shape[0]
     count = m * (m - 1) // 2
     if count <= _MEDIAN_SAMPLE:
         flat = np.arange(count)
@@ -145,23 +142,23 @@ def _bracket(sub: np.ndarray, lo_rank: int, hi_rank: int) -> tuple[float, float]
     rows = np.arange(m)
     starts = rows * (2 * m - rows - 1) // 2  # flat index of each row's first pair
     i = np.searchsorted(starts, flat, side="right") - 1
-    sample = np.sort(sub[i, flat - starts[i] + i + 1])
+    sample = np.sort(D[i, flat - starts[i] + i + 1])
     margin = 3.0 * np.sqrt(sample.size)
     a = int(np.floor(lo_rank / count * sample.size - margin))
     b = int(np.ceil(hi_rank / count * sample.size + margin))
     return (sample[a] if a >= 0 else -np.inf), (sample[b] if b < sample.size else np.inf)
 
 
-def _scan_pairs(sub: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
-    """(number of sub's strict-upper-triangle values below lo, those in [lo, hi]).
+def _scan_pairs(D: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
+    """(number of D's strict-upper-triangle values below lo, those in [lo, hi]).
 
     Rows are taken _SCAN_ROWS at a time: the upper triangle of the block's
     diagonal square, then the columns right of it.
     """
-    m = sub.shape[0]
+    m = D.shape[0]
     below, kept = 0, []
     for i in range(0, m, _SCAN_ROWS):
-        rows = sub[i : i + _SCAN_ROWS]
+        rows = D[i : i + _SCAN_ROWS]
         b = rows.shape[0]
         for v in (rows[:, i : i + b][np.triu_indices(b, 1)], rows[:, i + b :]):
             inside = v >= lo

@@ -22,25 +22,15 @@ def make_rng(seed: int, stream: int = 0, replicate: int = 0) -> np.random.Genera
     return np.random.Generator(np.random.Philox(key=None, seed=[seed, stream, replicate]))
 
 
-def fmt17(x: float) -> str:
-    """Format a float with 17 significant digits (lossless round trip)."""
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Write a CSV with one header row, %.17g floats, and a final newline.
+    """Write a CSV with one header row, %.17g floats (a lossless round trip), and a final newline.
 
     Values that are not floats (ints, strings) are written verbatim, so
     counts stay readable. Output bytes are deterministic for fixed rows.
     """
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(fmt17(v))
-            else:
-                cells.append(str(v))
+        cells = (f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v) for v in row)
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -266,6 +266,7 @@ def test_c09_sampler_soundness():
 
 def test_c10_end_to_end_density(tmp_path):
     with report(10, "end-to-end surrogate density") as elapsed:
+        out = tmp_path / "run"
         cfg = ExperimentConfig(
             model="pde",
             k=500,
@@ -273,11 +274,11 @@ def test_c10_end_to_end_density(tmp_path):
             n_design=1500,
             eval_points=10000,
             seed=2026,
+            output_dir=str(out),
             pde_n=33,
             pde_d=50,
         )
-        out = tmp_path / "run"
-        run_command("pipeline", cfg, seed=2026, out_dir=str(out), replicates=1)
+        run_command("pipeline", cfg)
 
         manifest = json.loads((out / "manifest.json").read_text())
         for name, digest in manifest["files"].items():

@@ -1,5 +1,6 @@
 """Tests for the configuration format and the command-line pipeline."""
 
+import dataclasses
 import json
 import re
 
@@ -19,7 +20,7 @@ from gradspace.cli import (
     write_subspace,
 )
 from gradspace.config import ConfigError, ExperimentConfig, parse_config
-from gradspace.core import ActiveSubspace, Hyperrectangle, truncate
+from gradspace.core import ActiveSubspace, Hyperrectangle, finite_difference_jacobian, truncate
 from gradspace.geometry import ReducedDesign
 from gradspace.models.analytic import cosine_pair
 from gradspace.util import make_rng, read_container, sha256_file, write_container
@@ -176,10 +177,11 @@ class TestModelHandle:
         "cfg",
         [
             ExperimentConfig(model="pde", pde_n=6, pde_d=8),
+            ExperimentConfig(model="pde", pde_n=6, pde_d=8, gradient_mode="fd"),
             ExperimentConfig(model="cos2"),
             ExperimentConfig(model="cos2", gradient_mode="fd"),
         ],
-        ids=["pde", "cos2", "cos2-fd"],
+        ids=["pde", "pde-fd", "cos2", "cos2-fd"],
     )
     def test_batch_equals_per_point_calls(self, cfg):
         model = resolve_model(cfg)
@@ -196,6 +198,9 @@ class TestModelHandle:
             q, g = model.value_and_grad(s)
             assert values[i].tobytes() == np.float64(q).tobytes()
             assert J[:, i].tobytes() == np.asarray(g, dtype=float).tobytes()
+            if cfg.gradient_mode == "fd":  # forward differences of the value, for every model
+                fd = finite_difference_jacobian(model.value, model.domain, s, cfg.fd_step)
+                assert J[:, i].tobytes() == fd.tobytes()
 
 
 class TestDetect:
@@ -326,6 +331,18 @@ class TestSampleAndSurrogate:
         # finite-difference gradients reproduce the leading eigenvalue closely
         assert abs(lam1 - 4 * np.pi**2) < 0.25 * 4 * np.pi**2
 
+    def test_finite_difference_gradient_mode_applies_to_the_elliptic_model(self, tmp_path):
+        cfg = ExperimentConfig(model="pde", pde_n=6, pde_d=8, k=20, a="2")
+        jacobians = []
+        for mode in ("exact", "fd"):
+            out = tmp_path / mode
+            files, _ = cmd_detect(dataclasses.replace(cfg, gradient_mode=mode), out, seed=16)
+            jacobians.append(read_jacobian(files["jacobian.bin"]))
+        adjoint, fd = jacobians
+        # forward differences, not the adjoint gradient under another name
+        assert fd.tobytes() != adjoint.tobytes()
+        np.testing.assert_allclose(fd, adjoint, rtol=1e-5, atol=1e-5 * np.abs(adjoint).max())
+
 
 class TestMain:
     def test_pipeline_manifest_checksums(self, tmp_path):
@@ -337,15 +354,18 @@ class TestMain:
         code = main(["pipeline", "--config", str(config), "--seed", "3", "--out", str(out)])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 3
+        assert manifest["config"]["seed"] == 3 and "seed" not in manifest
         for name, digest in manifest["files"].items():
             assert sha256_file(out / name) == digest, name
         assert set(manifest["stages"]) == {"detect", "sample", "surrogate"}
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "thread_env", "cpu_affinity"}
+        assert set(env) == {
+            "python", "numpy", "scipy", "lapack", "blas", "thread_env", "cpu_affinity"
+        }
         assert env["numpy"] == np.__version__
-        for build in ("numpy", "scipy"):
-            assert set(env["blas"][build]) == {"name", "version"}
+        assert env["lapack"] in ("numpy", "scipy")  # the surrogate's solve ran through one
+        assert set(env["blas"]) == {"numpy", "scipy"}
+        assert set(env["blas"]["numpy"]) == {"name", "version"}
         assert set(env["thread_env"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
         }
@@ -522,3 +542,19 @@ class TestMain:
         assert (out / "rep1" / "eigenvalues.csv").exists()
         # replicates draw from derived streams, so their samples differ
         assert (out / "rep0" / "samples.csv").read_bytes() != (out / "rep1" / "samples.csv").read_bytes()
+
+    def test_flags_are_the_config_the_manifest_records(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("model = cos2\nk = 30\na = 1\nseed = 8\nreplicates = 1\n")
+        out = tmp_path / "out"
+        argv = ["detect", "--config", str(config), "--seed", "3", "--out", str(out)]
+        assert main([*argv, "--replicates", "2"]) == 0
+        for rep in (0, 1):
+            manifest = json.loads((out / f"rep{rep}" / "manifest.json").read_text())
+            assert "seed" not in manifest
+            ran = {k: manifest["config"][k] for k in ("seed", "output_dir", "replicates")}
+            assert ran == {"seed": 3, "output_dir": str(out), "replicates": 2}
+        # the config's own check refuses a flag, with its message and exit code
+        capsys.readouterr()
+        assert main([*argv, "--replicates", "0"]) == 2
+        assert capsys.readouterr().err == "config error: replicates must be >= 1\n"

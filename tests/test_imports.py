@@ -1,9 +1,11 @@
 """A run loads only the scipy subpackages it uses, and not numpy.ma.
 
-Importing gradspace loads not even scipy itself, and a run's manifest reads
-scipy's version. The elliptic model calls the LAPACK numpy links, so it
-loads scipy.linalg only on builds whose numpy exports none of the LAPACK
-symbols it looks up; these checks assume numpy's own wheels.
+Importing gradspace loads not even scipy itself, and a run that computes
+nothing with scipy never loads it: its manifest records scipy's version
+and BLAS build only from a scipy already loaded. The elliptic model calls
+the LAPACK numpy links, so it loads scipy.linalg only on builds whose numpy
+exports none of the LAPACK symbols it looks up; these checks assume numpy's
+own wheels.
 The sampler decides and lifts its draws in numpy, so a run loads
 scipy.optimize only if a fibre reaches the fibre solve's iteration cap.
 Detect completes a basis from fewer samples than dimensions in numpy alone.
@@ -80,7 +82,7 @@ def test_analytic_detect_with_fewer_samples_than_dimensions_loads_no_scipy_subpa
     assert _heavy_loaded_after(_cli_call(tmp_path, "detect", config)) == set()
 
 
-@pytest.mark.parametrize(
+PIPELINES = pytest.mark.parametrize(
     "config",
     [
         "model = pde\npde_n = 6\npde_d = 8\nk = 20\na = 2\nn_design = 10\neval_points = 50\n"
@@ -90,5 +92,16 @@ def test_analytic_detect_with_fewer_samples_than_dimensions_loads_no_scipy_subpa
     ],
     ids=["elliptic", "completion"],
 )
+
+
+@PIPELINES
 def test_pipeline_loads_no_numpy_ma(tmp_path, config):
     assert "numpy.ma" not in _loaded_after(_cli_call(tmp_path, "pipeline", config))
+
+
+@PIPELINES
+def test_pipeline_loads_no_scipy_and_records_numpys_lapack(tmp_path, config):
+    loaded = _loaded_after(_cli_call(tmp_path, "pipeline", config))
+    assert {m for m in loaded if m.split(".")[0] == "scipy"} == set()
+    env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+    assert env["lapack"] == "numpy" and env["scipy"] is None and env["blas"]["scipy"] is None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gradspace import _lapack, surrogate
+from gradspace import _lapack, cli, surrogate
 from gradspace.models import pde
 from gradspace.util import make_rng
 
@@ -111,3 +111,16 @@ def test_gesv_singular_matrix_raises(binding):
         _lapack.gesv(A, np.ones(3))
     with pytest.raises(ValueError, match="C-ordered"):
         _lapack.gesv(np.eye(3)[:, :2], np.ones(3))
+
+
+def test_manifest_names_the_binding_that_served_the_fit(binding):
+    assert _lapack.binding() is None  # nothing has run since the fixture cleared the binding
+    assert _lapack._routines.cache_info().currsize == 0  # and reading it resolved none
+    pts = make_rng(2026, stream=28).uniform(-1, 1, size=(30, 2))
+    surrogate.fit(pts, np.sin(3 * pts[:, 0]))
+    env = cli._numeric_environment()
+    assert env["lapack"] == binding
+    if binding == "scipy":  # the fallback loaded scipy, so its BLAS build is on record
+        build = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["scipy"] == scipy.__version__
+        assert env["blas"]["scipy"] == {"name": build.get("name"), "version": build.get("version")}

@@ -122,17 +122,14 @@ class TestFit:
         K_trace_scale = 1.0  # gaussian kernel diagonal is one
         assert model.regularization == pytest.approx(1e-4 * K_trace_scale, rel=1e-6)
 
-    def test_shape_override(self, monkeypatch):
+    def test_shape_override(self):
         rng = make_rng(95)
         pts = rng.uniform(-1, 1, size=(20, 1))
         values = np.tanh(pts.ravel())
         model = fit(pts, values, RbfConfig(shape=0.5))
         assert model.shape == 0.5
-        # the default: the median pairwise distance, over every stride-th
-        # point when there are more than _MEDIAN_SUBSET
+        # the default: the median pairwise distance
         assert fit(pts, values).shape == np.median(pdist(pts))
-        monkeypatch.setattr(surrogate, "_MEDIAN_SUBSET", 6)
-        assert fit(pts, values).shape == np.median(pdist(pts[::4]))
 
     @pytest.mark.filterwarnings("ignore:training residual")
     def test_default_walk_beats_stopping_at_1e_10(self):
@@ -280,14 +277,12 @@ class TestFitMemoryAndBytes:
         assert system < rise < 2 * system
 
     @pytest.mark.parametrize(
-        "n, subset, case",
-        [(149, None, None), (150, None, None), (300, 64, None), (150, None, "ties"), (150, None, "miss")],
-        ids=["even", "odd", "strided", "ties", "bracket-miss"],
+        "n, case",
+        [(149, None), (150, None), (150, "ties"), (150, "miss")],
+        ids=["even", "odd", "ties", "bracket-miss"],
     )
-    def test_median_distance_bitwise_equal_to_mask_form(self, monkeypatch, n, subset, case):
+    def test_median_distance_bitwise_equal_to_mask_form(self, monkeypatch, n, case):
         # n = 149 and 150 points give an even and an odd number of pairs
-        if subset is not None:
-            monkeypatch.setattr(surrogate, "_MEDIAN_SUBSET", subset)
         monkeypatch.setattr(surrogate, "_MEDIAN_SAMPLE", 500)  # bracket from a sample, not every pair
         if case == "miss":  # a bracket above every distance
             monkeypatch.setattr(surrogate, "_bracket", lambda *args: (np.inf, np.inf))
@@ -300,12 +295,16 @@ class TestFitMemoryAndBytes:
         else:
             pts = rng.uniform(-1, 1, size=(n, 3))
         for D in (surrogate._distances(pts, pts), rng.uniform(0, 1, size=(n, n))):
-            stride = -(-n // surrogate._MEDIAN_SUBSET)
-            sub = D[::stride, ::stride]
-            expected = np.median(sub[np.triu(np.ones(sub.shape, dtype=bool), 1)])
+            expected = np.median(D[np.triu(np.ones(D.shape, dtype=bool), 1)])
             scans.clear()
             assert np.float64(surrogate._median_distance(D.copy())).tobytes() == expected.tobytes()
             assert len(scans) == (2 if case == "miss" else 1)  # the fall-back pass runs on a miss
+
+    def test_median_distance_reads_every_pair_past_4096_points(self):
+        # 0.2-0.3 s and a 134 MB distance matrix, freed before pdist's 67 MB
+        pts = make_rng(113).uniform(-1, 1, size=(4100, 1))
+        sigma = surrogate._median_distance(surrogate._distances(pts, pts))
+        assert np.float64(sigma).tobytes() == np.median(pdist(pts), overwrite_input=True).tobytes()
 
     @pytest.mark.parametrize(
         "config, decades",
