@@ -32,8 +32,8 @@ from .core import (
     ActiveSubspace,
     Hyperrectangle,
     JacobianSamples,
+    _forward_differences,
     detect_subspace,
-    finite_difference_jacobian,
     subspace_distance,
     suggest_truncation,
     truncate,
@@ -119,7 +119,7 @@ def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelH
     if cfg.gradient_mode == "fd":
 
         def value_and_grad(s):
-            return value(s), finite_difference_jacobian(value, domain, s, cfg.fd_step)
+            return _forward_differences(value, domain, s, cfg.fd_step)
 
     return ModelHandle(cfg.model, domain, value, value_and_grad)
 
@@ -162,6 +162,9 @@ def cmd_detect(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     model = resolve_model(cfg)
     rng = make_rng(seed, _STREAM_DETECT, rep)
     d = model.domain.dimension
+    a = cfg.truncation()
+    if a is not None and not 1 <= a <= d:  # before any gradient is paid for
+        raise ConfigError(f"truncation a={a} out of range 1..{d}")
 
     sites = model.domain.sample(rng, cfg.k)
     values, J = model.values_and_grads(sites)
@@ -169,9 +172,8 @@ def cmd_detect(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     samples = JacobianSamples(sites, J)
     full = detect_subspace(samples, model.domain)
     suggested = suggest_truncation(full.eigenvalues)
-    a = cfg.truncation() if cfg.truncation() is not None else suggested
-    if not 1 <= a <= d:
-        raise ConfigError(f"truncation a={a} out of range 1..{d}")
+    if a is None:
+        a = suggested
     sub = truncate(full, a)
 
     files = {}
@@ -342,6 +344,21 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     return files, info
 
 
+def _density_agreement(predictions: np.ndarray, truth: np.ndarray) -> dict:
+    """How the surrogate's density matches the reference one, as a whole.
+
+    w1_to_reference: the 1-Wasserstein distance between the two samples,
+    the mean of |sort(predictions) - sort(truth)|. spread_ratio:
+    std(predictions) / std(truth), below 1 where the surrogate narrows the
+    density; None when the reference values do not spread.
+    """
+    spread = truth.std()
+    return {
+        "w1_to_reference": float(np.abs(np.sort(predictions) - np.sort(truth)).mean()),
+        "spread_ratio": float(predictions.std() / spread) if spread > 0 else None,
+    }
+
+
 def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     """Fit the reduced-space model and write prediction/error histograms."""
     sub_path = out / "subspace.bin"
@@ -400,6 +417,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
         histogram_csv(files["density_full.csv"], truth)
         info["mean_full"] = float(truth.mean())
         info["median_abs_error"] = median(errors)
+        info.update(_density_agreement(predictions, truth))
     return files, info
 
 

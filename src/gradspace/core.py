@@ -287,6 +287,11 @@ def finite_difference_jacobian(
     backward difference instead. The default step is 1e-6 * max(1, |s_i|)
     per coordinate.
     """
+    return _forward_differences(f, domain, s, step)[1]
+
+
+def _forward_differences(f, domain, s, step):
+    """(f(s), finite_difference_jacobian(f, domain, s, step)) from its d+1 evaluations."""
     s = _as_array(s, "s")
     if not domain.contains(s, tol=1e-12):
         raise ValueError("base point lies outside the domain")
@@ -312,4 +317,4 @@ def finite_difference_jacobian(
             grad[i] = (f0 - fi) / h[i]
         if not np.isfinite(fi):
             raise ValueError("non-finite function value at a perturbed point")
-    return grad
+    return f0, grad

@@ -8,8 +8,9 @@ coordinate at a time in numpy, the order scipy's cdist uses. The system is
 factored in place by LAPACK's dgesv from the LAPACK numpy links (`_lapack`),
 the routine np.linalg.solve calls on a copy, so the fit holds one
 (n+a+1)² array; the regularization walk rebuilds it after each solve.
-The default kernel width, the median distance over every pair of centers,
-is selected from the distances in that array without copying them out.
+Before the first build, that array's buffer holds every pair's distance:
+one in-place partition of it gives the closest pair, which must be
+distinct, and the median distance, the default kernel width.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from .util import read_container, write_container
 __all__ = ["RbfConfig", "RbfSurrogate", "fit", "evaluate", "predict", "save", "load"]
 
 _MAGIC = b"GRBF0002"
-_MEDIAN_SAMPLE = 8192  # pairs sampled to bracket the median
-_GOLDEN = (5**0.5 - 1) / 2
-_SCAN_ROWS = 128  # rows per block of the median's pass and the distinctness count
 _REG_FLOOR = 1e-15
 _BLOCK = 32  # rows per block of distances and of predict's kernel
 
@@ -103,90 +101,40 @@ def _gaussian(D: np.ndarray, shape: float) -> np.ndarray:
     return np.exp(D, out=D)
 
 
-def _median_distance(D: np.ndarray) -> float:
-    """Median over every pair of points of the distance matrix D.
+def _pair_stats(A: np.ndarray, points: np.ndarray) -> tuple[float, float]:
+    """(closest, median) of the distances over every pair of points.
 
-    Bitwise np.median of the strict upper triangle's values, which it does
-    not copy: one pass counts the values below a bracket taken from a sample
-    of them and keeps those inside it, and the median's ranks are selected
-    among the kept. A bracket that misses the ranks is widened to every value.
+    The distances go into the first n² entries of A's buffer, with +inf on
+    the diagonal; A's contents are left undefined. They are bitwise
+    symmetric, so the off-diagonal values are every pair twice: their ranks
+    2j and 2j+1 are the pairs' rank j. One in-place partition at
+    c = n(n-1)/2 thus leaves the pairs' ranks (c-1)//2 and c//2, the
+    median's middle ranks, as the largest of the first c values and at
+    rank c, and the closest pair as the least. The median is bitwise
+    np.median of the strict upper triangle.
     """
-    m = D.shape[0]
-    count = m * (m - 1) // 2
-    hi_rank = count // 2
-    lo_rank = hi_rank if count % 2 else hi_rank - 1
-    for lo, hi in (_bracket(D, lo_rank, hi_rank), (-np.inf, np.inf)):
-        below, kept = _scan_pairs(D, lo, hi)
-        if below <= lo_rank and hi_rank < below + kept.size:
-            break
-    kept.partition([lo_rank - below, hi_rank - below])
-    return float(kept[lo_rank - below : hi_rank - below + 1].mean())  # as np.median
+    n = len(points)
+    flat = A.reshape(-1)[: n * n]  # a view: A is contiguous
+    flat.fill(0.0)
+    D = _distances(points, points, out=flat.reshape(n, n))
+    np.fill_diagonal(D, np.inf)
+    c = n * (n - 1) // 2
+    flat.partition(c)
+    return float(flat[:c].min()), float((flat[:c].max() + flat[c]) / 2)  # as np.median
 
 
-def _bracket(D: np.ndarray, lo_rank: int, hi_rank: int) -> tuple[float, float]:
-    """Values likely to enclose order statistics lo_rank..hi_rank of D's pairs.
-
-    Reads them off a sample of _MEDIAN_SAMPLE pairs (every pair when there
-    are fewer), six standard deviations of a sample rank out on either side;
-    -inf and inf past the sample's ends. The sample's flat indices into the
-    triangle follow the golden ratio's multiples: a fixed stride through the
-    rows meets some points far more often than others, and its median
-    strayed twice as far as a random sample's.
-    """
-    m = D.shape[0]
-    count = m * (m - 1) // 2
-    if count <= _MEDIAN_SAMPLE:
-        flat = np.arange(count)
-    else:
-        flat = (np.arange(_MEDIAN_SAMPLE) * _GOLDEN % 1.0 * count).astype(np.intp)
-    rows = np.arange(m)
-    starts = rows * (2 * m - rows - 1) // 2  # flat index of each row's first pair
-    i = np.searchsorted(starts, flat, side="right") - 1
-    sample = np.sort(D[i, flat - starts[i] + i + 1])
-    margin = 3.0 * np.sqrt(sample.size)
-    a = int(np.floor(lo_rank / count * sample.size - margin))
-    b = int(np.ceil(hi_rank / count * sample.size + margin))
-    return (sample[a] if a >= 0 else -np.inf), (sample[b] if b < sample.size else np.inf)
-
-
-def _scan_pairs(D: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
-    """(number of D's strict-upper-triangle values below lo, those in [lo, hi]).
-
-    Rows are taken _SCAN_ROWS at a time: the upper triangle of the block's
-    diagonal square, then the columns right of it.
-    """
-    m = D.shape[0]
-    below, kept = 0, []
-    for i in range(0, m, _SCAN_ROWS):
-        rows = D[i : i + _SCAN_ROWS]
-        b = rows.shape[0]
-        for v in (rows[:, i : i + b][np.triu_indices(b, 1)], rows[:, i + b :]):
-            inside = v >= lo
-            below += v.size - np.count_nonzero(inside)
-            inside &= v <= hi
-            kept.append(v[inside])
-    return below, np.concatenate(kept)
-
-
-def _write_system(A, points, P, shape):
-    """Write the augmented system's matrix into A and return the kernel width.
+def _write_system(A, points, P, sigma):
+    """Write the augmented system's matrix into A.
 
     The top-left n×n block receives the distances and then, in place, the
-    kernel at shape (None selects the median distance); P sits beside it,
-    P^T below it, and the corner is zero. The distances are bitwise
-    symmetric, so A is exactly symmetric.
+    kernel at width sigma; P sits beside it, P^T below it, and the corner is
+    zero. The distances are bitwise symmetric, so A is exactly symmetric.
     """
     n = len(points)
     A.fill(0.0)
-    D = _distances(points, points, out=A[:n, :n])
-    close = sum(np.count_nonzero(D[i : i + _SCAN_ROWS] <= 1e-12) for i in range(0, n, _SCAN_ROWS))
-    if close > n:  # beyond the zero diagonal
-        raise ValueError("points must be pairwise distinct (min distance > 1e-12)")
-    sigma = shape if shape is not None else _median_distance(D)
-    _gaussian(D, sigma)
+    _gaussian(_distances(points, points, out=A[:n, :n]), sigma)
     A[:n, n:] = P
     A[n:, :n] = P.T
-    return sigma
 
 
 def _solve_augmented(A, n, values, eta):
@@ -217,12 +165,15 @@ def fit(points, values, config: RbfConfig | None = None) -> RbfSurrogate:
         raise ValueError("values must have one entry per point")
     if n < a + 2:
         raise ValueError(f"need at least a+2 = {a + 2} points, got {n}")
-    # the distances, then the kernel, live in the system matrix's top-left
-    # block, and the solve factors that matrix in place, so fit holds one
-    # (n+a+1)² array
+    # the pair distances, then the kernel, live in the system matrix, and the
+    # solve factors that matrix in place, so fit holds one (n+a+1)² array
     A = np.empty((n + a + 1, n + a + 1))
+    closest, median = _pair_stats(A, points)
+    if closest <= 1e-12:
+        raise ValueError("points must be pairwise distinct (min distance > 1e-12)")
+    sigma = config.shape if config.shape is not None else median
     P = np.hstack([np.ones((n, 1)), points])
-    sigma = _write_system(A, points, P, config.shape)
+    _write_system(A, points, P, sigma)
     K = A[:n, :n]
     eta = config.regularization
 

@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from gradspace import cli
 from gradspace.cli import (
+    _density_agreement,
     cmd_complete,
     cmd_detect,
     cmd_sample,
@@ -22,6 +24,7 @@ from gradspace.cli import (
 from gradspace.config import ConfigError, ExperimentConfig, parse_config
 from gradspace.core import ActiveSubspace, Hyperrectangle, finite_difference_jacobian, truncate
 from gradspace.geometry import ReducedDesign
+from gradspace.models import pde
 from gradspace.models.analytic import cosine_pair
 from gradspace.util import make_rng, read_container, sha256_file, write_container
 
@@ -202,6 +205,16 @@ class TestModelHandle:
                 fd = finite_difference_jacobian(model.value, model.domain, s, cfg.fd_step)
                 assert J[:, i].tobytes() == fd.tobytes()
 
+    def test_finite_difference_gradient_costs_d_plus_one_solves(self, monkeypatch):
+        model = resolve_model(ExperimentConfig(model="pde", pde_n=6, pde_d=8, gradient_mode="fd"))
+        s = model.domain.sample(make_rng(13), 1)[0]
+        solves = []
+        solve = pde.solve_forward
+        monkeypatch.setattr(pde, "solve_forward", lambda *args: solves.append(1) or solve(*args))
+        q, g = model.value_and_grad(s)
+        assert len(solves) == 8 + 1  # the base value is the first difference's f0
+        assert np.float64(q).tobytes() == np.float64(model.value(s)).tobytes()
+
 
 class TestDetect:
     def test_cosine_eigenvalue_file(self, tmp_path):
@@ -238,6 +251,22 @@ class TestDetect:
         cfg = ExperimentConfig(model="cos2", k=10, a="5")
         with pytest.raises(ConfigError, match="truncation"):
             cmd_detect(cfg, tmp_path, seed=1)
+
+    def test_truncation_range_checked_before_any_evaluation(self, tmp_path, monkeypatch):
+        calls = []
+        handle = resolve_model(ExperimentConfig(model="cos2"))
+        spy = dataclasses.replace(
+            handle,
+            value=lambda s: calls.append(s) or handle.value(s),
+            value_and_grad=lambda s: calls.append(s) or handle.value_and_grad(s),
+        )
+        monkeypatch.setattr(cli, "resolve_model", lambda cfg: spy)
+        cfg = ExperimentConfig(model="cos2", k=10, a="5")
+        with pytest.raises(ConfigError, match=re.escape("truncation a=5 out of range 1..2")):
+            cmd_detect(cfg, tmp_path, seed=1)
+        assert calls == []
+        cmd_detect(dataclasses.replace(cfg, a="2"), tmp_path, seed=1)  # the spy does count
+        assert len(calls) == 10
 
 
 class TestComplete:
@@ -307,6 +336,20 @@ class TestSampleAndSurrogate:
         below = counts[lefts < -3.0].sum()
         assert below / counts.sum() > 0.9
         assert info["median_abs_error"] < 1e-3
+        assert 0 <= info["w1_to_reference"] < 1e-3  # at most the mean |error|
+        assert info["spread_ratio"] == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.25, -3.0])
+    def test_density_agreement_of_a_shifted_copy(self, shift):
+        truth = make_rng(17).standard_normal(101)
+        agreement = _density_agreement(make_rng(18).permutation(truth) + shift, truth)
+        assert agreement["w1_to_reference"] == pytest.approx(abs(shift), abs=1e-15)
+        assert agreement["spread_ratio"] == pytest.approx(1.0, rel=1e-14)
+        assert _density_agreement(truth, truth)["w1_to_reference"] == 0.0
+
+    def test_density_agreement_with_a_constant_reference(self):
+        agreement = _density_agreement(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
+        assert agreement == {"w1_to_reference": 1.5, "spread_ratio": None}
 
     def test_surrogate_requires_design(self, tmp_path):
         cfg = ExperimentConfig(model="cos2", k=20, a="1")
@@ -321,7 +364,7 @@ class TestSampleAndSurrogate:
         cmd_sample(cfg, tmp_path, seed=14)
         files, info = cmd_surrogate(cfg, tmp_path, seed=14)
         assert set(files) == {"rbf_model.bin", "density_hist.csv"}
-        assert "mean_full" not in info
+        assert not {"mean_full", "w1_to_reference", "spread_ratio"} & set(info)
 
     def test_finite_difference_gradient_mode(self, tmp_path):
         cfg = ExperimentConfig(model="cos2", k=40, a="1", gradient_mode="fd", fd_step=1e-6)

@@ -77,7 +77,7 @@ def _augmented_system(n, a, eta):
     points = make_rng(2026, stream=27).uniform(-1, 1, size=(n, a))
     P = np.hstack([np.ones((n, 1)), points])
     A = np.empty((n + a + 1, n + a + 1))
-    surrogate._write_system(A, points, P, None)
+    surrogate._write_system(A, points, P, surrogate._pair_stats(A, points)[1])
     np.fill_diagonal(A[:n, :n], 1.0 + eta)
     return A, np.concatenate([np.sin(3 * points[:, 0]), np.zeros(a + 1)])
 

@@ -236,8 +236,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 class TestFitMemoryAndBytes:
     @pytest.mark.parametrize("smoothing", [False, True])
     def test_fit_holds_under_three_kernel_sized_arrays(self, smoothing):
-        # loose: the system matrix, with the kernel in its top-left block,
-        # and the pair distances the median reads
+        # loose: the system matrix, with the kernel in its top-left block
         n = 600
         pts = make_rng(110).uniform(-1, 1, size=(n, 3))
         vals = np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, 2])
@@ -251,8 +250,7 @@ class TestFitMemoryAndBytes:
 
     @pytest.mark.parametrize("smoothing", [False, True])
     def test_warm_fit_holds_under_two_kernel_sized_arrays(self, smoothing):
-        # the system matrix, with the kernel in its top-left block, and the
-        # pair distances the median reads
+        # the system matrix, with the kernel in its top-left block
         n = 600
         pts = make_rng(110).uniform(-1, 1, size=(n, 3))
         vals = np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, 2])
@@ -277,33 +275,30 @@ class TestFitMemoryAndBytes:
         assert system < rise < 2 * system
 
     @pytest.mark.parametrize(
-        "n, case",
-        [(149, None), (150, None), (150, "ties"), (150, "miss")],
-        ids=["even", "odd", "ties", "bracket-miss"],
+        "n, case", [(149, None), (150, None), (150, "ties")], ids=["even", "odd", "ties"]
     )
-    def test_median_distance_bitwise_equal_to_mask_form(self, monkeypatch, n, case):
+    def test_median_distance_bitwise_equal_to_mask_form(self, n, case):
         # n = 149 and 150 points give an even and an odd number of pairs
-        monkeypatch.setattr(surrogate, "_MEDIAN_SAMPLE", 500)  # bracket from a sample, not every pair
-        if case == "miss":  # a bracket above every distance
-            monkeypatch.setattr(surrogate, "_bracket", lambda *args: (np.inf, np.inf))
-        scans = []
-        scan = surrogate._scan_pairs
-        monkeypatch.setattr(surrogate, "_scan_pairs", lambda *args: scans.append(1) or scan(*args))
         rng = make_rng(112)
         if case == "ties":  # lattice points: few distinct distances, some zero
             pts = rng.integers(0, 4, size=(n, 3)).astype(float)
         else:
             pts = rng.uniform(-1, 1, size=(n, 3))
-        for D in (surrogate._distances(pts, pts), rng.uniform(0, 1, size=(n, n))):
-            expected = np.median(D[np.triu(np.ones(D.shape, dtype=bool), 1)])
-            scans.clear()
-            assert np.float64(surrogate._median_distance(D.copy())).tobytes() == expected.tobytes()
-            assert len(scans) == (2 if case == "miss" else 1)  # the fall-back pass runs on a miss
+        D = surrogate._distances(pts, pts)
+        expected = np.median(D[np.triu(np.ones(D.shape, dtype=bool), 1)])
+        A = np.empty((n + 4, n + 4))
+        closest, sigma = surrogate._pair_stats(A, pts)
+        assert np.float64(sigma).tobytes() == expected.tobytes()
+        assert closest == pdist(pts).min()
+        # partitioned in A's own buffer: every distance, +inf on the diagonal
+        np.fill_diagonal(D, np.inf)
+        assert np.sort(A.reshape(-1)[: n * n]).tobytes() == np.sort(D, axis=None).tobytes()
 
     def test_median_distance_reads_every_pair_past_4096_points(self):
-        # 0.2-0.3 s and a 134 MB distance matrix, freed before pdist's 67 MB
-        pts = make_rng(113).uniform(-1, 1, size=(4100, 1))
-        sigma = surrogate._median_distance(surrogate._distances(pts, pts))
+        # 0.2-0.3 s and a 134 MB system-sized buffer, freed before pdist's 67 MB
+        n = 4100
+        pts = make_rng(113).uniform(-1, 1, size=(n, 1))
+        _, sigma = surrogate._pair_stats(np.empty((n + 2, n + 2)), pts)
         assert np.float64(sigma).tobytes() == np.median(pdist(pts), overwrite_input=True).tobytes()
 
     @pytest.mark.parametrize(
