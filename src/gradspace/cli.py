@@ -94,7 +94,7 @@ def resolve_model(cfg: ExperimentConfig, cache_dir: str | None = None) -> ModelH
             return pde.qoi(model, pde.solve_forward(model, s))
 
         def value_and_grad(s):
-            g, q = pde.gradient_q(model, s, return_value=True)
+            g, q = pde.gradient_q(model, s)
             return q, g
 
     else:
@@ -156,11 +156,11 @@ def read_jacobian(path) -> np.ndarray:
 # stages
 
 
-def cmd_detect(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
+def cmd_detect(cfg: ExperimentConfig, out: Path, rep: int = 0):
     """Sample k gradients, extract the subspace, and write the convergence study."""
     out.mkdir(parents=True, exist_ok=True)
     model = resolve_model(cfg)
-    rng = make_rng(seed, _STREAM_DETECT, rep)
+    rng = make_rng(cfg.seed, _STREAM_DETECT, rep)
     d = model.domain.dimension
     a = cfg.truncation()
     if a is not None and not 1 <= a <= d:  # before any gradient is paid for
@@ -235,10 +235,10 @@ def _synthetic_low_rank(rows: int, cols: int, rank: int, rng) -> np.ndarray:
     return (U * sv) @ V.T
 
 
-def cmd_complete(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
+def cmd_complete(cfg: ExperimentConfig, out: Path, rep: int = 0):
     """Sweep the revealed-entry proportion and record subspace recovery errors."""
     out.mkdir(parents=True, exist_ok=True)
-    rng = make_rng(seed, _STREAM_COMPLETE, rep)
+    rng = make_rng(cfg.seed, _STREAM_COMPLETE, rep)
     params = completion.SvtParams(
         tau=cfg.svt_tau,
         delta=cfg.svt_delta,
@@ -304,7 +304,7 @@ def _load_csv(path: Path, *widths: int):
     return *np.split(data[:, :-1], np.cumsum(widths)[:-1], axis=1), data[:, -1]
 
 
-def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
+def cmd_sample(cfg: ExperimentConfig, out: Path, rep: int = 0):
     """Project the original sites and add freshly sampled reduced design points."""
     sub_path = out / "subspace.bin"
     samples_path = out / "samples.csv"
@@ -315,7 +315,7 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     sites, values = _load_csv(samples_path, sub.dimension)
 
     domain = geometry.build_reduced_domain(sub, model.domain)
-    rng = make_rng(seed, _STREAM_SAMPLE, rep)
+    rng = make_rng(cfg.seed, _STREAM_SAMPLE, rep)
     fresh, stats = geometry.build_reduced_design(domain, cfg.n_design, rng)
     fresh_values = model.values(fresh.lifted_points)
 
@@ -359,7 +359,7 @@ def _density_agreement(predictions: np.ndarray, truth: np.ndarray) -> dict:
     }
 
 
-def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
+def cmd_surrogate(cfg: ExperimentConfig, out: Path, rep: int = 0):
     """Fit the reduced-space model and write prediction/error histograms."""
     sub_path = out / "subspace.bin"
     design_path = out / "design.csv"
@@ -382,7 +382,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out: Path, seed: int, rep: int = 0):
     files["rbf_model.bin"] = out / "rbf_model.bin"
     surrogate.save(surr, files["rbf_model.bin"])
 
-    rng = make_rng(seed, _STREAM_EVAL, rep)
+    rng = make_rng(cfg.seed, _STREAM_EVAL, rep)
     eval_sites = model.domain.sample(rng, cfg.eval_points)
     predictions = surrogate.predict(surr, eval_sites @ sub.basis_a)
     files["density_hist.csv"] = out / "density_hist.csv"
@@ -435,7 +435,7 @@ def _run_stage(name, cfg, out, rep):
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                files, info = _STAGES[name](cfg, out, cfg.seed, rep)
+                files, info = _STAGES[name](cfg, out, rep)
         finally:
             for w in caught:  # outside the recording context, so the caller's filters apply
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)

@@ -13,10 +13,11 @@ and the faces of each orientation pair two shifted slices of it. Under this
 ordering the operator is symmetric positive definite with bandwidth n. It is
 assembled from those slices straight into LAPACK lower banded storage and
 factored by a banded Cholesky (dpbtrf); the forward and adjoint solves share
-one factor, and each solution's residual is checked. The factor, the solves
-and the KL eigenproblems run in the LAPACK numpy links, through `_lapack`;
-scipy.linalg.lapack serves them only where numpy's LAPACK exports none of
-the symbol spellings `_lapack` knows (MKL, Accelerate or distro builds).
+one factor, and each solution's residual is checked. The factor and the
+solves run in the LAPACK numpy links, through `_lapack`; scipy.linalg.lapack
+serves them only where numpy's LAPACK exports none of the symbol spellings
+`_lapack` knows (MKL, Accelerate or distro builds). The two n x n KL
+eigenproblems go to np.linalg.eigh, so building a model calls no `_lapack`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _kl_factor(n: int, rho: float):
     h = 1.0 / n
     coords = (np.arange(n) + 0.5) * h
     diff = coords[:, None] - coords[None, :]
-    vals, vecs = _lapack.eigh(h * np.exp(-diff * diff / rho))
+    vals, vecs = np.linalg.eigh(h * np.exp(-diff * diff / rho))
     return vals, _apply_sign_convention(vecs)
 
 
@@ -174,10 +175,6 @@ def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _lapack.solve(chol, b)
-
-
 def _check_residual(ab, x, rhs):
     # np.linalg.norm measures the same here (47 ms per gradient at n=129 on
     # 2 CPUs, with the solves in numpy's LAPACK); this form keeps the
@@ -195,7 +192,7 @@ def _checked_solves(model: PdeModel, alpha: np.ndarray, *rhs: np.ndarray) -> lis
         chol = _lapack.factor(ab)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"system matrix is not positive definite: {exc}") from exc
-    solutions = [_solve(chol, b) for b in rhs]
+    solutions = [_lapack.solve(chol, b) for b in rhs]
     for x, b in zip(solutions, rhs):
         _check_residual(ab, x, b)
     return solutions
@@ -212,8 +209,8 @@ def qoi(model: PdeModel, u) -> float:
     return float(model.qoi_weights @ u)
 
 
-def gradient_q(model: PdeModel, s, return_value: bool = False):
-    """Full parameter gradient of the output from one forward and one adjoint solve.
+def gradient_q(model: PdeModel, s) -> tuple[np.ndarray, float]:
+    """(full parameter gradient, output) from one forward and one adjoint solve.
 
     The derivative of the system matrix with respect to each parameter never
     gets assembled: the face-wise chain rule is accumulated into a single
@@ -240,6 +237,4 @@ def gradient_q(model: PdeModel, s, return_value: bool = False):
 
     # d(alpha)/ds_i = phi_i * sqrt(sigma_i) * alpha, so one matvec covers all i
     grad = -np.sqrt(model.kl.eigenvalues) * (model.kl.eigenfunctions.T @ (psi.ravel() * alpha))
-    if return_value:
-        return grad, qoi(model, u)
-    return grad
+    return grad, qoi(model, u)

@@ -56,7 +56,7 @@ def pde_setup():
     model = make_pde_model(n=33, d=50, rho=(1.0, 0.05))
     rng = make_rng(2026, stream=500)
     sites = model.parameter_box.sample(rng, 500)
-    J = np.column_stack([gradient_q(model, s) for s in sites])
+    J = np.column_stack([gradient_q(model, s)[0] for s in sites])
     return model, sites, J
 
 
@@ -175,7 +175,7 @@ def test_c05_adjoint_correctness(pde_setup):
         h = 1e-5
         for _ in range(10):
             s = rng.uniform(-1.98, 1.98, 50)
-            grad = gradient_q(model, s)
+            grad, _ = gradient_q(model, s)
             fd = np.empty(50)
             for i in range(50):
                 sp, sm = s.copy(), s.copy()

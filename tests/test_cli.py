@@ -218,8 +218,8 @@ class TestModelHandle:
 
 class TestDetect:
     def test_cosine_eigenvalue_file(self, tmp_path):
-        cfg = ExperimentConfig(model="cos2", k=100, a="1", n_design=10, eval_points=10)
-        files, info = cmd_detect(cfg, tmp_path, seed=5)
+        cfg = ExperimentConfig(model="cos2", k=100, a="1", n_design=10, eval_points=10, seed=5)
+        files, info = cmd_detect(cfg, tmp_path)
         lines = files["eigenvalues.csv"].read_text().strip().splitlines()
         assert lines[0] == "index,eigenvalue"
         lam1 = float(lines[1].split(",")[1])
@@ -231,8 +231,8 @@ class TestDetect:
         assert info["suggested_truncation"] == 1
 
     def test_convergence_rows(self, tmp_path):
-        cfg = ExperimentConfig(model="cos37", k=100, a="1")
-        files, _ = cmd_detect(cfg, tmp_path, seed=6)
+        cfg = ExperimentConfig(model="cos37", k=100, a="1", seed=6)
+        files, _ = cmd_detect(cfg, tmp_path)
         rows = files["convergence.csv"].read_text().strip().splitlines()
         assert rows[0] == "m,e_rel,e_abs"
         assert len(rows) - 1 == len(cfg.schedule()) - 1
@@ -240,17 +240,17 @@ class TestDetect:
         assert int(last[0]) == cfg.schedule()[-2]
 
     def test_byte_identical_rerun(self, tmp_path):
-        cfg = ExperimentConfig(model="cos37", k=60, a="1")
+        cfg = ExperimentConfig(model="cos37", k=60, a="1", seed=7)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        f1, _ = cmd_detect(cfg, out1, seed=7)
-        f2, _ = cmd_detect(cfg, out2, seed=7)
+        f1, _ = cmd_detect(cfg, out1)
+        f2, _ = cmd_detect(cfg, out2)
         for name in f1:
             assert f1[name].read_bytes() == f2[name].read_bytes(), name
 
     def test_unknown_truncation_range(self, tmp_path):
-        cfg = ExperimentConfig(model="cos2", k=10, a="5")
+        cfg = ExperimentConfig(model="cos2", k=10, a="5", seed=1)
         with pytest.raises(ConfigError, match="truncation"):
-            cmd_detect(cfg, tmp_path, seed=1)
+            cmd_detect(cfg, tmp_path)
 
     def test_truncation_range_checked_before_any_evaluation(self, tmp_path, monkeypatch):
         calls = []
@@ -261,11 +261,11 @@ class TestDetect:
             value_and_grad=lambda s: calls.append(s) or handle.value_and_grad(s),
         )
         monkeypatch.setattr(cli, "resolve_model", lambda cfg: spy)
-        cfg = ExperimentConfig(model="cos2", k=10, a="5")
+        cfg = ExperimentConfig(model="cos2", k=10, a="5", seed=1)
         with pytest.raises(ConfigError, match=re.escape("truncation a=5 out of range 1..2")):
-            cmd_detect(cfg, tmp_path, seed=1)
+            cmd_detect(cfg, tmp_path)
         assert calls == []
-        cmd_detect(dataclasses.replace(cfg, a="2"), tmp_path, seed=1)  # the spy does count
+        cmd_detect(dataclasses.replace(cfg, a="2"), tmp_path)  # the spy does count
         assert len(calls) == 10
 
 
@@ -273,9 +273,9 @@ class TestComplete:
     def test_synthetic_full_reveal_recovers(self, tmp_path):
         cfg = ExperimentConfig(
             svt_synthetic=True, svt_rank=5, svt_rows=60, svt_cols=150,
-            gamma_sweep=(1.0,), a="5",
+            gamma_sweep=(1.0,), a="5", seed=8,
         )
-        files, info = cmd_complete(cfg, tmp_path, seed=8)
+        files, info = cmd_complete(cfg, tmp_path)
         rows = files["svt_error.csv"].read_text().strip().splitlines()
         gamma, err = rows[1].split(",")[:2]
         assert float(gamma) == 1.0
@@ -285,23 +285,23 @@ class TestComplete:
         }
 
     def test_requires_prior_detect(self, tmp_path):
-        cfg = ExperimentConfig(gamma_sweep=(0.5,))
+        cfg = ExperimentConfig(gamma_sweep=(0.5,), seed=9)
         with pytest.raises(ConfigError, match="prior detect"):
-            cmd_complete(cfg, tmp_path, seed=9)
+            cmd_complete(cfg, tmp_path)
 
     def test_real_jacobian_mode(self, tmp_path):
-        cfg = ExperimentConfig(model="cos37", k=80, a="1", gamma_sweep=(0.8,))
-        cmd_detect(cfg, tmp_path, seed=10)
-        files, _ = cmd_complete(cfg, tmp_path, seed=10)
+        cfg = ExperimentConfig(model="cos37", k=80, a="1", gamma_sweep=(0.8,), seed=10)
+        cmd_detect(cfg, tmp_path)
+        files, _ = cmd_complete(cfg, tmp_path)
         rows = files["svt_error.csv"].read_text().strip().splitlines()
         assert len(rows) == 2
 
 
 class TestSampleAndSurrogate:
     def test_design_invariants_and_stats(self, tmp_path):
-        cfg = ExperimentConfig(model="cos37", k=50, a="1", n_design=40, eval_points=100)
-        cmd_detect(cfg, tmp_path, seed=11)
-        files, info = cmd_sample(cfg, tmp_path, seed=11)
+        cfg = ExperimentConfig(model="cos37", k=50, a="1", n_design=40, eval_points=100, seed=11)
+        cmd_detect(cfg, tmp_path)
+        files, info = cmd_sample(cfg, tmp_path)
         stats = json.loads(files["sampler_stats.json"].read_text())
         assert stats["draws"] == stats["accepted"] + stats["rejected"]
         assert stats["lp_calls"] <= stats["draws"]
@@ -318,11 +318,11 @@ class TestSampleAndSurrogate:
     def test_surrogate_outputs(self, tmp_path):
         cfg = ExperimentConfig(
             model="ridge", k=60, a="1", n_design=60, eval_points=400,
-            ridge_direction=(1.0, 2.0, 3.0),
+            ridge_direction=(1.0, 2.0, 3.0), seed=12,
         )
-        cmd_detect(cfg, tmp_path, seed=12)
-        cmd_sample(cfg, tmp_path, seed=12)
-        files, info = cmd_surrogate(cfg, tmp_path, seed=12)
+        cmd_detect(cfg, tmp_path)
+        cmd_sample(cfg, tmp_path)
+        files, info = cmd_surrogate(cfg, tmp_path)
         assert set(files) == {
             "rbf_model.bin", "density_hist.csv", "error_hist.csv", "density_full.csv",
         }
@@ -352,34 +352,34 @@ class TestSampleAndSurrogate:
         assert agreement == {"w1_to_reference": 1.5, "spread_ratio": None}
 
     def test_surrogate_requires_design(self, tmp_path):
-        cfg = ExperimentConfig(model="cos2", k=20, a="1")
+        cfg = ExperimentConfig(model="cos2", k=20, a="1", seed=13)
         with pytest.raises(ConfigError, match="design"):
-            cmd_surrogate(cfg, tmp_path, seed=13)
+            cmd_surrogate(cfg, tmp_path)
 
     def test_full_eval_false_skips_reference_histograms(self, tmp_path):
         cfg = ExperimentConfig(
-            model="cos2", k=30, a="1", n_design=20, eval_points=80, full_eval="false",
+            model="cos2", k=30, a="1", n_design=20, eval_points=80, full_eval="false", seed=14,
         )
-        cmd_detect(cfg, tmp_path, seed=14)
-        cmd_sample(cfg, tmp_path, seed=14)
-        files, info = cmd_surrogate(cfg, tmp_path, seed=14)
+        cmd_detect(cfg, tmp_path)
+        cmd_sample(cfg, tmp_path)
+        files, info = cmd_surrogate(cfg, tmp_path)
         assert set(files) == {"rbf_model.bin", "density_hist.csv"}
         assert not {"mean_full", "w1_to_reference", "spread_ratio"} & set(info)
 
     def test_finite_difference_gradient_mode(self, tmp_path):
-        cfg = ExperimentConfig(model="cos2", k=40, a="1", gradient_mode="fd", fd_step=1e-6)
-        files, info = cmd_detect(cfg, tmp_path, seed=15)
+        cfg = ExperimentConfig(model="cos2", k=40, a="1", gradient_mode="fd", fd_step=1e-6, seed=15)
+        files, info = cmd_detect(cfg, tmp_path)
         assert info["truncation"] == 1
         lam1 = info["top_eigenvalues"][0]
         # finite-difference gradients reproduce the leading eigenvalue closely
         assert abs(lam1 - 4 * np.pi**2) < 0.25 * 4 * np.pi**2
 
     def test_finite_difference_gradient_mode_applies_to_the_elliptic_model(self, tmp_path):
-        cfg = ExperimentConfig(model="pde", pde_n=6, pde_d=8, k=20, a="2")
+        cfg = ExperimentConfig(model="pde", pde_n=6, pde_d=8, k=20, a="2", seed=16)
         jacobians = []
         for mode in ("exact", "fd"):
             out = tmp_path / mode
-            files, _ = cmd_detect(dataclasses.replace(cfg, gradient_mode=mode), out, seed=16)
+            files, _ = cmd_detect(dataclasses.replace(cfg, gradient_mode=mode), out)
             jacobians.append(read_jacobian(files["jacobian.bin"]))
         adjoint, fd = jacobians
         # forward differences, not the adjoint gradient under another name

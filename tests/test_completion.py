@@ -382,9 +382,9 @@ class TestTrajectory:
     def test_svt_sweep_path_pinned(self, tmp_path, seed, expected):
         cfg = ExperimentConfig(
             model="cos2", svt_synthetic=True, svt_rows=50, svt_cols=200,
-            gamma_sweep=(0.1, 0.5, 0.9),
+            gamma_sweep=(0.1, 0.5, 0.9), seed=seed,
         )
-        files, _ = cmd_complete(cfg, tmp_path, seed=seed)
+        files, _ = cmd_complete(cfg, tmp_path)
         table = np.loadtxt(files["svt_error.csv"], delimiter=",", skiprows=1)
         np.testing.assert_array_equal(table[:, 0], [0.1, 0.5, 0.9])
         assert [tuple(int(v) for v in row[[2, 3, 5]]) for row in table] == expected

@@ -347,7 +347,7 @@ class TestEntryPointsAgree:
 def paper_subspace_a8(tmp_path_factory):
     """The detected subspace of the 250-parameter elliptic model (k=100, a=8, seed 2026)."""
     out = tmp_path_factory.mktemp("paper")
-    cmd_detect(ExperimentConfig(model="pde", pde_n=33, pde_d=250, k=100, a="8"), out, seed=2026)
+    cmd_detect(ExperimentConfig(model="pde", pde_n=33, pde_d=250, k=100, a="8", seed=2026), out)
     return read_subspace(out / "subspace.bin")
 
 
@@ -511,8 +511,8 @@ class TestFibreSolveAgreesWithHighs:
 
     def test_pde_subspace_design(self, tmp_path):
         # the subspace of the pde-c10 benchmark workload (d=50, k=100, a=5)
-        cfg = ExperimentConfig(model="pde", pde_n=33, pde_d=50, k=100, a="5")
-        cmd_detect(cfg, tmp_path, seed=1)
+        cfg = ExperimentConfig(model="pde", pde_n=33, pde_d=50, k=100, a="5", seed=1)
+        cmd_detect(cfg, tmp_path)
         sub = read_subspace(tmp_path / "subspace.bin")
         rd = build_reduced_domain(sub, Hyperrectangle.cube(50, 2.0))
         fibre_solve = geometry.lp_solve

@@ -69,7 +69,7 @@ def random_fibre(rng, d, a, feasible):
 def paper_subspace(tmp_path_factory):
     """The detected subspace of the 250-parameter elliptic model (k=100, a=5, seed 2026)."""
     out = tmp_path_factory.mktemp("paper")
-    cmd_detect(ExperimentConfig(model="pde", pde_n=33, pde_d=250, k=100, a="5"), out, seed=2026)
+    cmd_detect(ExperimentConfig(model="pde", pde_n=33, pde_d=250, k=100, a="5", seed=2026), out)
     return read_subspace(out / "subspace.bin")
 
 
